@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ABState, MeanPair, MixtureModel, planar_reduce
+from .geometry import ABState, MeanPair, MixtureModel, angle_beta, planar_reduce, state_distance
 from .harness import concentration_check, consistency_ladder, contraction_estimate
 from .kernels import (
     SQRT_2_OVER_PI,
@@ -36,8 +36,8 @@ from .landscape import Classification, classify_stationary, grad_G
 from .population import (
     StopRule,
     Trajectory,
+    _sign_target,
     a_priori_bounds,
-    model1_step,
     model2_step,
     run,
     run_model1,
@@ -63,6 +63,11 @@ def _timed(number: int, title: str, body: Callable[[], tuple[bool, str]]) -> Cri
     start = time.perf_counter()
     passed, detail = body()
     return CriterionResult(number, title, passed, detail, time.perf_counter() - start)
+
+
+def _max_gap(x: ABState, y: ABState) -> float:
+    """Largest coordinate difference between two (a, b) states."""
+    return max(float(np.max(np.abs(x.a - y.a))), float(np.max(np.abs(x.b - y.b))))
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -150,11 +155,7 @@ def criterion_2() -> CriterionResult:
             model = MixtureModel(d, theta)
             state = ABState(np.zeros(d), theta.copy())
             new_state, _ = model2_step(state, model)
-            moved = math.hypot(
-                float(np.linalg.norm(new_state.a - state.a)),
-                float(np.linalg.norm(new_state.b - state.b)),
-            )
-            worst = max(worst, moved)
+            worst = max(worst, state_distance(new_state, state))
         return worst <= 1e-10, f"worst fixed-point drift {worst:.2e} over 20 draws"
 
     return _timed(2, "truth is a fixed point of the free-means step", body)
@@ -185,8 +186,7 @@ def criterion_3() -> CriterionResult:
                     break
             model = MixtureModel(d, theta)
             iters = run_model1(init, model, StopRule(max_iters=10_000, step_tol=1e-10))
-            sign = 1.0 if float(init @ theta) > 0 else -1.0
-            errs = np.linalg.norm(iters - sign * theta, axis=1)
+            errs = np.linalg.norm(iters - _sign_target(init, model), axis=1)
             # a bit-identical stall pair (step size exactly zero) carries no
             # contraction information, so its vacuous ratio of 1 is excluded
             steps = np.linalg.norm(iters[1:] - iters[:-1], axis=1)
@@ -242,17 +242,11 @@ def criterion_4() -> CriterionResult:
         for d, tnorm, theta0 in cases:
             theta_star = np.zeros(d)
             theta_star[0] = tnorm
-            model = MixtureModel(d, theta_star)
-            theta = theta0.copy()
-            norm0 = norm = float(np.linalg.norm(theta))
-            for _ in range(budget):
-                theta = model1_step(theta, model)
-                if float(theta @ theta_star) != 0.0:
-                    exact_ok = False
-                new_norm = float(np.linalg.norm(theta))
-                if not new_norm < norm:
-                    monotone_ok = False
-                norm = new_norm
+            iters = run_model1(theta0, MixtureModel(d, theta_star), StopRule(budget, 0.0))
+            norms = np.linalg.norm(iters, axis=1)
+            exact_ok &= bool(np.all(iters @ theta_star == 0.0))
+            monotone_ok &= bool(np.all(norms[1:] < norms[:-1]))
+            norm0, norm = float(norms[0]), float(norms[-1])
             final_norms.append(norm)
             slopes.append((norm**-2 - norm0**-2) / (2 * budget) if norm > 0.0 else math.inf)
         slope_ok = all(abs(v - 1.0) <= 1e-3 for v in slopes)
@@ -329,8 +323,7 @@ def _series(traj: Trajectory, model: MixtureModel):
     dist_b.append(float(np.linalg.norm(final.b - traj.target)))
     norm_b.append(float(np.linalg.norm(final.b)))
     if norm_b[-1] > 0.0:
-        coords = planar_reduce(final, model)
-        sin_b.append(math.sin(math.atan2(coords.theta2, coords.theta1)))
+        sin_b.append(math.sin(angle_beta(planar_reduce(final, model))))
     else:
         sin_b.append(float("nan"))
     return np.array(norm_a), np.array(dist_b), np.array(norm_b), np.array(sin_b)
@@ -429,10 +422,7 @@ def criterion_8() -> CriterionResult:
             pop, _ = model2_step(state, model)
             data = sample_mixture(model, 10_000_000, [88, k])
             samp = model2_step_ab(state, data)
-            diff = max(
-                float(np.max(np.abs(samp.a - pop.a))),
-                float(np.max(np.abs(samp.b - pop.b))),
-            )
+            diff = _max_gap(samp, pop)
             scale = max(
                 1.0, float(np.max(np.abs(pop.a))), float(np.max(np.abs(pop.b)))
             )
@@ -521,11 +511,7 @@ def criterion_11() -> CriterionResult:
             state = ABState(0.5 * rng.standard_normal(d), rng.standard_normal(d))
             ab = model2_step_ab(state, data)
             mu = to_ab(model2_step_mu(from_ab(state), data))
-            worst = max(
-                worst,
-                float(np.max(np.abs(ab.a - mu.a))),
-                float(np.max(np.abs(ab.b - mu.b))),
-            )
+            worst = max(worst, _max_gap(ab, mu))
         return worst <= 1e-12, f"worst coordinate difference {worst:.2e} over 100 datasets"
 
     return _timed(11, "mu-form and (a,b)-form sample updates agree", body)
@@ -564,7 +550,7 @@ def criterion_13() -> CriterionResult:
         theta /= np.linalg.norm(theta)
         model = MixtureModel(d, theta)
         init = ABState(np.array([0.15, -0.1, 0.05]), np.array([0.5, 0.4, -0.2]))
-        stop = StopRule(max_iters=25, step_tol=1e-300)
+        stop = StopRule(max_iters=25, step_tol=0.0)
         base = run(init, model, stop)
         worst = 0.0
         for _ in range(10):
@@ -573,11 +559,8 @@ def criterion_13() -> CriterionResult:
             rot_init = ABState(q @ init.a, q @ init.b)
             rot = run(rot_init, rot_model, stop)
             for rb, rr in zip(base.records, rot.records):
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(rr.state.a - q @ rb.state.a))),
-                    float(np.max(np.abs(rr.state.b - q @ rb.state.b))),
-                )
+                rotated = ABState(q @ rb.state.a, q @ rb.state.b)
+                worst = max(worst, _max_gap(rr.state, rotated))
         return worst <= 1e-10, f"worst rotated-state discrepancy {worst:.2e} over 10 maps"
 
     return _timed(13, "orthogonal equivariance of the population flow", body)

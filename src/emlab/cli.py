@@ -6,12 +6,13 @@ Usage::
     emlab kernels --out tables/
     emlab verify
 
-Every subcommand accepts ``--config PATH`` (a JSON object), ``--out DIR``,
-``--seed N`` (overrides the config seed) and ``--threads N`` (validated and
-accepted for interface stability; the implementation is single-threaded, so
-it has no effect beyond validation; the ``EMLAB_THREADS`` environment
-variable acts as a fallback).  Unknown config fields are rejected with the
-exact field path, so typos cannot silently fall back to defaults.
+Every subcommand accepts ``--config PATH`` (a JSON object), ``--out DIR``
+and ``--seed N`` (overrides the config seed).  Unknown config fields are
+rejected with the exact field path, so typos cannot silently fall back to
+defaults.  Exit status: 0 on success, 1 when ``verify`` has a failing
+criterion, 2 on a config error, 3 on a numerical error (a quadrature rule
+failing its self-check, degenerate posterior weights or a degenerate state),
+reported as one ``numerical error: ...`` line on stderr.
 
 Reproducibility contract: with an identical config (seed included) every
 output file is byte-identical across runs.  Floats are serialized with
@@ -25,7 +26,7 @@ Config sections (all optional; defaults in parentheses)::
     model        {"d", "theta_star" | "mu1"+"mu2", "sigma"}  (d=2, [1, 0])
                  mu1/mu2 must be centered (mu1 = -mu2); a sigma covariance
                  is consumed at resolve time by whitening theta_star
-    quadrature   {"nodes_per_lobe", "abs_tol", "truncation_radius"}
+    quadrature   {"nodes_per_lobe", "abs_tol"}         (512, 1e-10)
     seed         integer seed for anything sampled  (0)
     family       "free" | "symmetric"               (run-population)
     init         {"a", "b"} or {"theta"}            (a=0, b=theta*/2)
@@ -46,20 +47,25 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NotPositiveDefinite
-from .geometry import ABState, MeanPair, MixtureModel, whiten
+from .errors import (
+    ConfigError,
+    DegenerateState,
+    DegenerateWeights,
+    NonConvergence,
+    NotPositiveDefinite,
+)
+from .geometry import ABState, MeanPair, MixtureModel, state_distance, whiten
 from .harness import consistency_ladder, coupled_run
 from .kernels import tabulate
 from .landscape import expected_loglik
-from .population import StopRule, run, run_model1
-from .quadrature import QuadratureSpec
+from .population import StopRule, _sign_target, run, run_model1
+from .quadrature import MIN_NODES_PER_LOBE, QuadratureSpec
 from .sampling import run_sample, sample_mixture
 
 _DEFAULT_LADDER = (1_000, 10_000, 100_000, 1_000_000)
@@ -104,18 +110,15 @@ def _int_field(section, key, path, default, minimum=None):
     return value
 
 
-def _float_field(section, key, path, default, minimum=None, strict=False):
+def _float_field(section, key, path, default, positive=False):
     value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(_join(path, key), f"expected a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ConfigError(_join(path, key), "must be finite")
-    if minimum is not None:
-        if strict and value <= minimum:
-            raise ConfigError(_join(path, key), f"must be > {minimum}, got {value!r}")
-        if not strict and value < minimum:
-            raise ConfigError(_join(path, key), f"must be >= {minimum}, got {value!r}")
+    if positive and value <= 0.0:
+        raise ConfigError(_join(path, key), f"must be > 0.0, got {value!r}")
     return value
 
 
@@ -189,16 +192,13 @@ def _resolve_model(raw):
 
 def _resolve_quadrature(raw):
     section = _expect_mapping(raw.get("quadrature", {}), "quadrature")
-    _reject_unknown(
-        section, ("nodes_per_lobe", "abs_tol", "truncation_radius"), "quadrature"
+    _reject_unknown(section, ("nodes_per_lobe", "abs_tol"), "quadrature")
+    nodes = _int_field(
+        section, "nodes_per_lobe", "quadrature", 512, minimum=MIN_NODES_PER_LOBE
     )
-    nodes = _int_field(section, "nodes_per_lobe", "quadrature", 512, minimum=8)
-    abs_tol = _float_field(section, "abs_tol", "quadrature", 1e-10, minimum=0.0, strict=True)
-    radius = _float_field(
-        section, "truncation_radius", "quadrature", 12.0, minimum=0.0, strict=True
-    )
-    resolved = {"nodes_per_lobe": nodes, "abs_tol": abs_tol, "truncation_radius": radius}
-    return resolved, QuadratureSpec(nodes, abs_tol, radius)
+    abs_tol = _float_field(section, "abs_tol", "quadrature", 1e-10, positive=True)
+    resolved = {"nodes_per_lobe": nodes, "abs_tol": abs_tol}
+    return resolved, QuadratureSpec(nodes, abs_tol)
 
 
 def _resolve_init(raw, model, family):
@@ -220,7 +220,7 @@ def _resolve_stop(raw):
     section = _expect_mapping(raw.get("stop", {}), "stop")
     _reject_unknown(section, ("max_iters", "step_tol"), "stop")
     max_iters = _int_field(section, "max_iters", "stop", 10_000, minimum=1)
-    step_tol = _float_field(section, "step_tol", "stop", 1e-10, minimum=0.0, strict=True)
+    step_tol = _float_field(section, "step_tol", "stop", 1e-10, positive=True)
     return {"max_iters": max_iters, "step_tol": step_tol}, StopRule(max_iters, step_tol)
 
 
@@ -404,24 +404,20 @@ def _free_rows(traj, d):
 def _cmd_run_population(sink, model, spec, init, stop, resolved):
     if resolved["family"] == "symmetric":
         iters = run_model1(init, model, stop, spec)
-        sign = float(np.sign(float(init @ model.theta_star)))
-        target = sign * model.theta_star
-        dists = np.linalg.norm(iters - target, axis=1)
+        dists = np.linalg.norm(iters - _sign_target(init, model), axis=1)
         header = ["t"] + [f"theta_{i}" for i in range(model.dim)] + ["dist"]
         rows = [
             (t,) + tuple(float(v) for v in it) + (float(dist),)
             for t, (it, dist) in enumerate(zip(iters, dists))
         ]
         sink.csv("trajectory.csv", header, rows)
-        steps = len(iters) - 1
-        converged = steps < stop.max_iters or (
-            steps and float(np.linalg.norm(iters[-1] - iters[-2])) <= stop.step_tol
-        )
         sink.json(
             "summary.json",
             {
-                "converged": bool(converged),
-                "steps": steps,
+                # the run stops at the first step the stop rule accepts, so
+                # that step is the last one exactly when the run converged
+                "converged": stop.converged(float(np.linalg.norm(iters[-1] - iters[-2]))),
+                "steps": len(iters) - 1,
                 "final": [float(v) for v in iters[-1]],
                 "final_dist": float(dists[-1]),
             },
@@ -474,12 +470,9 @@ def _cmd_coupled(sink, model, spec, init, stop, resolved):
               "samp_norm_a", "samp_dist_b", "samp_p"]
     rows = []
     for s_rec, p_rec in zip(sample_traj.records, pop_traj.records):
-        gap = math.hypot(
-            float(np.linalg.norm(s_rec.state.a - p_rec.state.a)),
-            float(np.linalg.norm(s_rec.state.b - p_rec.state.b)),
-        )
         rows.append(
-            (s_rec.t, gap, p_rec.norm_a, p_rec.dist_b, p_rec.p,
+            (s_rec.t, state_distance(s_rec.state, p_rec.state),
+             p_rec.norm_a, p_rec.dist_b, p_rec.p,
              s_rec.norm_a, s_rec.dist_b, s_rec.p)
         )
     sink.csv("coupled.csv", header, rows)
@@ -589,19 +582,6 @@ _COMMANDS = {
 }
 
 
-def _resolve_threads(flag_value):
-    value = flag_value if flag_value is not None else os.environ.get("EMLAB_THREADS")
-    if value is None:
-        return 1
-    try:
-        threads = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError("threads", f"expected a positive integer, got {value!r}") from None
-    if threads < 1:
-        raise ConfigError("threads", f"expected a positive integer, got {threads}")
-    return threads
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="emlab",
@@ -615,16 +595,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="DIR", default="emlab-out",
                        help="output directory (default: emlab-out)")
         p.add_argument("--seed", metavar="N", type=int, help="override the config seed")
-        p.add_argument("--threads", metavar="N",
-                       help="worker cap (accepted for interface stability; "
-                            "the implementation is single-threaded)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _resolve_threads(args.threads)
         if args.config is None:
             raw = {}
         else:
@@ -640,6 +616,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (NonConvergence, DegenerateWeights, DegenerateState) as exc:
+        print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     for path in sink.written:
         print(f"wrote {path}")
     return status

@@ -144,6 +144,14 @@ class PlanarCoords:
         object.__setattr__(self, "e2", v2)
 
 
+def state_distance(x: ABState, y: ABState) -> float:
+    """Concatenated distance hypot(|x.a - y.a|, |x.b - y.b|); exactly
+    |x.b - y.b| when both midpoints are equal (the locked-means case)."""
+    return math.hypot(
+        float(np.linalg.norm(x.a - y.a)), float(np.linalg.norm(x.b - y.b))
+    )
+
+
 def to_ab(means: MeanPair) -> ABState:
     """Centered reparameterization a = (mu1+mu2)/2, b = (mu2-mu1)/2."""
     return ABState(0.5 * (means.mu1 + means.mu2), 0.5 * (means.mu2 - means.mu1))

@@ -23,14 +23,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsufficientData
-from .geometry import ABState, MixtureModel
+from .geometry import ABState, MixtureModel, state_distance
 from .population import StopRule, Trajectory, run
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .sampling import run_sample, sample_mixture
-
-# forces runs to use the full iteration budget (no step is ever this small
-# away from an exact fixed point)
-_NEVER_TOL = 1e-300
 
 
 @dataclass(frozen=True)
@@ -57,15 +53,9 @@ class ContractionEstimate(NamedTuple):
     valid: bool
 
 
-def _state_distance(x: ABState, y: ABState) -> float:
-    return math.hypot(
-        float(np.linalg.norm(x.a - y.a)), float(np.linalg.norm(x.b - y.b))
-    )
-
-
 def _sup_discrepancy(sample_traj: Trajectory, pop_traj: Trajectory) -> float:
     return max(
-        _state_distance(rs.state, rp.state)
+        state_distance(rs.state, rp.state)
         for rs, rp in zip(sample_traj.records, pop_traj.records)
     )
 
@@ -83,7 +73,7 @@ def coupled_run(
     Returns (sample trajectory, population trajectory, sup over recorded
     iterates of the concatenated state distance).
     """
-    stop = StopRule(max_iters=T, step_tol=_NEVER_TOL)
+    stop = StopRule(max_iters=T, step_tol=0.0)
     data = sample_mixture(model, n, seed)
     sample_traj = run_sample(init, data, stop)
     pop_traj = run(init, model, stop, spec)
@@ -106,7 +96,7 @@ def consistency_ladder(
     common-random-numbers coupling along the ladder.
     """
     n_ladder = tuple(int(n) for n in n_ladder)
-    stop = StopRule(max_iters=T, step_tol=_NEVER_TOL)
+    stop = StopRule(max_iters=T, step_tol=0.0)
     pop_traj = run(init, model, stop, spec)
     trial_seeds = tuple(range(trials))
     sups, finals = [], []

@@ -17,12 +17,10 @@ Delta(y, x_theta), or a single Gaussian lobe:
     F(x_b, x_theta)          = int tanh(u x_b) u phi(u - x_theta) du
     K(x, x_b)                = int 0.5 tanh(y x_b) phi(y - x) dy
 
-The module-level kernel_* functions accept any finite real x_a / x_theta
-(the integrals are well defined there, and the planar reduction of the
-population step needs the signed values); the eval_* wrappers take the
-validated non-negative KernelArgs bundle, which is the canonical domain
-(P and Gamma are even in x_theta, S is odd, and x_a < 0 mirrors through
-w(-u, x_b) = 1 - w(u, x_b)).
+The kernel_* functions accept any finite real x_a / x_theta: the integrals
+are well defined there, and the planar reduction of the population step
+needs the signed values (P and Gamma are even in x_theta, S is odd, and
+x_a < 0 mirrors through w(-u, x_b) = 1 - w(u, x_b)).
 
 The auxiliary scalar bounds used by the kernel inequalities are collected in
 eval_aux_bounds: for x > 0,
@@ -39,7 +37,6 @@ the Mills-ratio bound phi(x)/(1 - Phi(x)) < x + sqrt(2/pi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,23 +58,6 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 def weight_1d(u, x_b):
     """Soft assignment weight 0.5*(1 + tanh(u * x_b)); broadcasts."""
     return 0.5 * (1.0 + np.tanh(u * x_b))
-
-
-@dataclass(frozen=True)
-class KernelArgs:
-    """Canonical (non-negative) argument bundle for the kernel evaluators."""
-
-    x_a: float
-    x_b: float
-    x_theta: float
-
-    def __post_init__(self) -> None:
-        for name in ("x_a", "x_b", "x_theta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
-            if value < 0.0:
-                raise DomainError(f"{name} must be >= 0, got {value!r}")
 
 
 def kernel_p(x_a: float, x_b: float, x_theta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -114,30 +94,6 @@ def kernel_f(x_b: float, x_theta: float, spec: QuadratureSpec = DEFAULT_SPEC) ->
 def kernel_k(x: float, x_b: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """int 0.5 * tanh(y * x_b) * phi(y - x) dy; exactly 0.0 at x_b == 0."""
     return integrate_against_gaussian(lambda y: 0.5 * np.tanh(y * x_b), x, spec)
-
-
-def eval_P(args: KernelArgs, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    return kernel_p(args.x_a, args.x_b, args.x_theta, spec)
-
-
-def eval_Gamma(args: KernelArgs, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    return kernel_gamma(args.x_a, args.x_b, args.x_theta, spec)
-
-
-def eval_S(args: KernelArgs, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    return kernel_s(args.x_a, args.x_b, args.x_theta, spec)
-
-
-def eval_R(x_b: float, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    return kernel_r(x_b, x, spec)
-
-
-def eval_F(x_b: float, x_theta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    return kernel_f(x_b, x_theta, spec)
-
-
-def eval_K(x: float, x_b: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    return kernel_k(x, x_b, spec)
 
 
 class AuxBounds(NamedTuple):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ABState, MeanPair, MixtureModel, planar_reduce, to_ab
+from .geometry import ABState, MeanPair, MixtureModel, planar_reduce, state_distance, to_ab
 from .population import _planar_p_q, model2_step
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_against_mixture
 
@@ -183,9 +183,6 @@ def fixed_stationary_correspondence(
     """Check that 'fixed point of the update' and 'stationary point of G'
     agree at `point` (both true or both false)."""
     new_state, _ = model2_step(point, model, spec)
-    moved = math.hypot(
-        float(np.linalg.norm(new_state.a - point.a)),
-        float(np.linalg.norm(new_state.b - point.b)),
-    )
+    moved = state_distance(new_state, point)
     gnorm = float(np.linalg.norm(_full_grad(point, model, spec)))
     return (moved <= 1e-8) == (gnorm <= _GRAD_TOL)

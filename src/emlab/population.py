@@ -11,8 +11,10 @@ reduction and the scalar kernels:
     b+ = q / (2p(1-p))
 
 Model 1 is the a = 0 slice: theta+ = F(||theta||, |theta1|) e1
-+ 2 theta2 S(0, ||theta||, theta1) e2, and both models share one code path
-there, so ``model2_step`` at a = 0 reproduces ``model1_step`` bit-for-bit.
++ 2 theta2 S(0, ||theta||, theta1) e2.  ``model1_step`` is the free-means
+step taken from (0, theta), so ``model2_step`` at a = 0 reproduces it
+bit-for-bit, and ``run``, ``run_sample`` and ``run_model1`` share one
+iteration driver and one stop rule.
 
 Exactness guarantees (no thresholding involved):
   * <a, b> == 0.0 implies p = 0.5 and a+ = 0 exactly;
@@ -23,15 +25,14 @@ Exactness guarantees (no thresholding involved):
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import ABState, MixtureModel, PlanarCoords, planar_reduce
+from .geometry import ABState, MixtureModel, PlanarCoords, planar_reduce, state_distance
 from .kernels import kernel_f, kernel_gamma, kernel_p, kernel_s
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, std_normal_cdf
 
@@ -40,7 +41,12 @@ _P_INTERIOR = 1e-15
 
 @dataclass(frozen=True)
 class StopRule:
-    """Iteration budget and the step-size convergence threshold."""
+    """Iteration budget and step-size threshold.
+
+    A run stops after the first step that moves the (a, b) state by less
+    than ``step_tol`` (``state_distance``), or after ``max_iters`` steps;
+    ``step_tol = 0.0`` runs the whole budget.
+    """
 
     max_iters: int = 10_000
     step_tol: float = 1e-10
@@ -48,8 +54,12 @@ class StopRule:
     def __post_init__(self) -> None:
         if not isinstance(self.max_iters, int) or self.max_iters < 1:
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
-        if not self.step_tol > 0.0:
-            raise ValueError(f"step_tol must be positive, got {self.step_tol!r}")
+        if not self.step_tol >= 0.0:
+            raise ValueError(f"step_tol must be >= 0, got {self.step_tol!r}")
+
+    def converged(self, moved: float) -> bool:
+        """Whether a step of size ``moved`` ends the run."""
+        return moved < self.step_tol
 
 
 @dataclass(frozen=True)
@@ -82,15 +92,6 @@ class PopStepRecord:
         return math.sin(self.beta) if math.isfinite(self.beta) else float("nan")
 
 
-class LimitClass(enum.Enum):
-    """Which fixed point a run is classified to approach, from the sign of
-    the initial alignment <b0, theta_star>."""
-
-    PLUS_THETA = "plus_theta"
-    MINUS_THETA = "minus_theta"
-    ZERO = "zero"
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Visited iterates plus the exact final state of a run."""
@@ -107,37 +108,6 @@ class Trajectory:
         """Per-record values of ``field`` ('norm_a', 'dist_b', 'beta',
         'sin_beta', 'p') as a float array."""
         return np.array([getattr(r, field) for r in self.records], dtype=float)
-
-    def rows(self) -> list[tuple]:
-        """CSV rows (t, norm_a, dist_b, beta, sin_beta, p, ratio_a, ratio_b,
-        ratio_sin); None ratios stay None."""
-        return [
-            (
-                r.t,
-                r.norm_a,
-                r.dist_b,
-                r.beta,
-                r.sin_beta,
-                r.p,
-                r.ratio_a,
-                r.ratio_b,
-                r.ratio_sin,
-            )
-            for r in self.records
-        ]
-
-
-TRAJECTORY_COLUMNS = (
-    "t",
-    "norm_a",
-    "dist_b",
-    "beta",
-    "sin_beta",
-    "p",
-    "ratio_a",
-    "ratio_b",
-    "ratio_sin",
-)
 
 
 def _planar_p_q(coords: PlanarCoords, spec: QuadratureSpec) -> tuple[float, float, float]:
@@ -169,16 +139,6 @@ def posterior_mass(state: ABState, model: MixtureModel, spec: QuadratureSpec = D
     return kernel_p(coords.x_a, coords.norm_b, coords.theta1, spec)
 
 
-def model1_step(theta, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
-    """One population step of the locked-means model; 0 maps to 0."""
-    theta = np.asarray(theta, dtype=float)
-    if float(np.linalg.norm(theta)) == 0.0:
-        return np.zeros(model.dim)
-    coords = planar_reduce(ABState(np.zeros(model.dim), theta), model)
-    _, q1, q2 = _planar_p_q(coords, spec)
-    return 2.0 * q1 * coords.e1 + 2.0 * q2 * coords.e2
-
-
 def _step_core(
     state: ABState, model: MixtureModel, spec: QuadratureSpec
 ) -> tuple[ABState, float]:
@@ -195,6 +155,13 @@ def _step_core(
         a_new = q_vec * ((1.0 - 2.0 * p) / denom)
     b_new = q_vec / denom
     return ABState(a_new, b_new), p
+
+
+def model1_step(theta, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
+    """One population step of the locked-means model: the b part of the
+    free-means step from (0, theta), whose midpoint stays exactly 0; 0 maps
+    to 0."""
+    return _step_core(ABState(np.zeros(model.dim), theta), model, spec)[0].b
 
 
 def _beta_of(state: ABState, model: MixtureModel) -> float:
@@ -239,10 +206,7 @@ def _make_record(
         dist_b,
         ratio_a=_ratio(norm_a, prev.norm_a),
         ratio_b=_ratio(dist_b, prev.dist_b),
-        ratio_sin=_ratio(
-            math.sin(beta) if math.isfinite(beta) else float("nan"),
-            prev.sin_beta if math.isfinite(prev.beta) else None,
-        ),
+        ratio_sin=_ratio(math.sin(beta), prev.sin_beta),
     )
 
 
@@ -259,14 +223,16 @@ def model2_step(
         raise DimensionMismatch(
             f"state has dimension {state.dim}, model has {model.dim}"
         )
-    target = _sign_target(state, model)
+    target = _sign_target(state.b, model)
     new_state, p = _step_core(state, model, spec)
     record = _make_record(0, state, p, None, target, model)
     return new_state, record
 
 
-def _sign_target(init: ABState, model: MixtureModel) -> np.ndarray:
-    alignment = float(np.dot(init.b, model.theta_star))
+def _sign_target(b: np.ndarray, model: MixtureModel) -> np.ndarray:
+    """The limit predicted by the sign of <b, theta_star>: theta_star,
+    -theta_star, or 0 on the orthogonal slice."""
+    alignment = float(np.dot(b, model.theta_star))
     if alignment > 0.0:
         return model.theta_star.copy()
     if alignment < 0.0:
@@ -274,14 +240,51 @@ def _sign_target(init: ABState, model: MixtureModel) -> np.ndarray:
     return np.zeros(model.dim)
 
 
-def classify_limit(init: ABState, model: MixtureModel) -> LimitClass:
-    """Predicted limit from the sign of the initial alignment <b0, theta*>."""
-    alignment = float(np.dot(init.b, model.theta_star))
-    if alignment > 0.0:
-        return LimitClass.PLUS_THETA
-    if alignment < 0.0:
-        return LimitClass.MINUS_THETA
-    return LimitClass.ZERO
+def _drive(
+    init: ABState,
+    stop: StopRule,
+    step: Callable[[ABState], tuple[ABState, float]],
+    mass_at: Callable[[ABState], float],
+    record: Callable[[int, ABState, float, object], object],
+) -> tuple[list, ABState, bool]:
+    """The EM iteration loop behind ``run``, ``run_sample`` and ``run_model1``.
+
+    ``step(state)`` returns the next state and the posterior mass p at
+    ``state``; ``record(t, state, p, previous entry or None)`` makes the
+    entry for every iterate a step was taken from.  A converged run's last
+    state gets no entry (it is the returned final state); a run that
+    exhausts the budget records its last iterate at t = max_iters with
+    p = ``mass_at(state)``.  Returns the entries, the final state and
+    whether the stop rule's step-size test ended the run.
+    """
+    entries: list = []
+    state = init
+    for t in range(stop.max_iters):
+        new_state, p = step(state)
+        entries.append(record(t, state, p, entries[-1] if entries else None))
+        moved = state_distance(new_state, state)
+        state = new_state
+        if stop.converged(moved):
+            return entries, state, True
+    entries.append(record(stop.max_iters, state, mass_at(state), entries[-1]))
+    return entries, state, False
+
+
+def _trajectory(
+    init: ABState,
+    model: MixtureModel,
+    stop: StopRule,
+    step: Callable[[ABState], tuple[ABState, float]],
+    mass_at: Callable[[ABState], float],
+) -> Trajectory:
+    """``_drive`` with a diagnostics record for every visited iterate."""
+    target = _sign_target(init.b, model)
+
+    def record(t: int, state: ABState, p: float, prev: Optional[PopStepRecord]) -> PopStepRecord:
+        return _make_record(t, state, p, prev, target, model)
+
+    records, final_state, converged = _drive(init, stop, step, mass_at, record)
+    return Trajectory(tuple(records), final_state, converged, target)
 
 
 def run(
@@ -290,11 +293,10 @@ def run(
     stop: StopRule = StopRule(),
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> Trajectory:
-    """Iterate the free-means population step until the concatenated step
-    size drops to ``stop.step_tol`` or the budget runs out.
+    """Iterate the free-means population step under ``stop``.
 
     Records cover every iterate a step was taken from; a converged run's
-    final state differs from the last record by at most step_tol and is
+    final state differs from the last record by less than step_tol and is
     exposed as ``Trajectory.final_state`` (a fixed-point init therefore
     yields a single record).  When the budget is exhausted, the last iterate
     is appended as a final record.
@@ -303,34 +305,12 @@ def run(
         raise DimensionMismatch(
             f"init has dimension {init.dim}, model has {model.dim}"
         )
-    target = _sign_target(init, model)
-    records: list[PopStepRecord] = []
-    prev: Optional[PopStepRecord] = None
-    state = init
-    converged = False
-    t = 0
-    for t in range(stop.max_iters):
-        new_state, p = _step_core(state, model, spec)
-        rec = _make_record(t, state, p, prev, target, model)
-        records.append(rec)
-        prev = rec
-        delta = math.hypot(
-            float(np.linalg.norm(new_state.a - state.a)),
-            float(np.linalg.norm(new_state.b - state.b)),
-        )
-        state = new_state
-        if delta <= stop.step_tol:
-            converged = True
-            break
-    if not converged:
-        records.append(
-            _make_record(stop.max_iters, state, posterior_mass(state, model, spec), prev, target, model)
-        )
-    return Trajectory(
-        records=tuple(records),
-        final_state=state,
-        converged=converged,
-        target=target,
+    return _trajectory(
+        init,
+        model,
+        stop,
+        lambda state: _step_core(state, model, spec),
+        lambda state: posterior_mass(state, model, spec),
     )
 
 
@@ -345,15 +325,14 @@ def run_model1(
     theta = np.asarray(theta0, dtype=float)
     if theta.shape != (model.dim,):
         raise ValueError(f"theta0 must have shape ({model.dim},), got {theta.shape}")
-    iterates = [theta.copy()]
-    for _ in range(stop.max_iters):
-        new = model1_step(theta, model, spec)
-        iterates.append(new)
-        step = float(np.linalg.norm(new - theta))
-        theta = new
-        if step <= stop.step_tol:
-            break
-    return np.array(iterates)
+    iterates, final_state, converged = _drive(
+        ABState(np.zeros(model.dim), theta),
+        stop,
+        lambda state: _step_core(state, model, spec),
+        lambda state: 0.5,  # exact on the a = 0 slice, and unused here
+        lambda t, state, p, prev: state.b,
+    )
+    return np.array((iterates + [final_state.b]) if converged else iterates)
 
 
 class APrioriBounds(NamedTuple):

@@ -35,33 +35,30 @@ from .errors import NonConvergence
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+# the smallest Gauss-Hermite rule a spec (and the CLI schema) accepts
+MIN_NODES_PER_LOBE = 16
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Resolution and validation parameters for the integrators.
 
-    nodes_per_lobe: Gauss-Hermite node count per Gaussian lobe (>= 16).
+    nodes_per_lobe: Gauss-Hermite node count per Gaussian lobe
+        (>= MIN_NODES_PER_LOBE).
     abs_tol: maximum allowed |I_2N - I_N| before NonConvergence is raised.
-    truncation_radius: half-width (in standard deviations around each lobe
-        center) of the finite interval used by interval-based oracles.
     """
 
     nodes_per_lobe: int = 512
     abs_tol: float = 1e-10
-    truncation_radius: float = 12.0
 
     def __post_init__(self) -> None:
-        if self.nodes_per_lobe < 16:
+        if self.nodes_per_lobe < MIN_NODES_PER_LOBE:
             raise ValueError(
-                f"nodes_per_lobe must be an integer >= 16, got {self.nodes_per_lobe}"
+                f"nodes_per_lobe must be an integer >= {MIN_NODES_PER_LOBE}, "
+                f"got {self.nodes_per_lobe}"
             )
         if not self.abs_tol > 0.0:
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not self.truncation_radius > 0.0:
-            raise ValueError(
-                f"truncation_radius must be positive, got {self.truncation_radius}"
-            )
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -97,44 +94,41 @@ def mixture_pdf_1d(y, x_theta):
     return 0.5 * (std_normal_pdf(y - x_theta) + std_normal_pdf(y + x_theta))
 
 
-def mixture_pdf_diff(y, x_theta):
-    """Signed half-difference 0.5*(phi(y - x_theta) - phi(y + x_theta))."""
-    return 0.5 * (std_normal_pdf(y - x_theta) - std_normal_pdf(y + x_theta))
-
-
 def _lobe_sum(f: Callable, center: float, n: int) -> float:
     y, w = _gh_rule(n)
     return float(np.dot(w, f(center + y)))
+
+
+def _self_checked(rule: Callable[[int], float], what: str, spec: QuadratureSpec) -> float:
+    """``rule(2N)``, after checking it against ``rule(N)`` (N = nodes_per_lobe)."""
+    coarse = rule(spec.nodes_per_lobe)
+    fine = rule(2 * spec.nodes_per_lobe)
+    if abs(fine - coarse) > spec.abs_tol:
+        raise NonConvergence(
+            f"{what} did not settle: "
+            f"|I_2N - I_N| = {abs(fine - coarse):.3e} > {spec.abs_tol:.3e}"
+        )
+    return fine
 
 
 def integrate_against_gaussian(
     f: Callable, center: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
     """int f(y) phi(y - center) dy with the two-resolution self-check."""
-    n = spec.nodes_per_lobe
-    coarse = _lobe_sum(f, center, n)
-    fine = _lobe_sum(f, center, 2 * n)
-    if abs(fine - coarse) > spec.abs_tol:
-        raise NonConvergence(
-            f"Gaussian quadrature at center {center!r} did not settle: "
-            f"|I_2N - I_N| = {abs(fine - coarse):.3e} > {spec.abs_tol:.3e}"
-        )
-    return fine
+    return _self_checked(
+        lambda n: _lobe_sum(f, center, n), f"Gaussian quadrature at center {center!r}", spec
+    )
 
 
 def integrate_against_mixture(
     f: Callable, x_theta: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
     """int f(y) p(y, x_theta) dy as the average of the two lobe sums."""
-    n = spec.nodes_per_lobe
-    coarse = 0.5 * (_lobe_sum(f, +x_theta, n) + _lobe_sum(f, -x_theta, n))
-    fine = 0.5 * (_lobe_sum(f, +x_theta, 2 * n) + _lobe_sum(f, -x_theta, 2 * n))
-    if abs(fine - coarse) > spec.abs_tol:
-        raise NonConvergence(
-            f"mixture quadrature at x_theta {x_theta!r} did not settle: "
-            f"|I_2N - I_N| = {abs(fine - coarse):.3e} > {spec.abs_tol:.3e}"
-        )
-    return fine
+    return _self_checked(
+        lambda n: 0.5 * (_lobe_sum(f, +x_theta, n) + _lobe_sum(f, -x_theta, n)),
+        f"mixture quadrature at x_theta {x_theta!r}",
+        spec,
+    )
 
 
 def integrate_against_mixture_diff(
@@ -145,15 +139,11 @@ def integrate_against_mixture_diff(
     Returns exactly 0.0 for x_theta == 0, since the two lobe sums are then
     the same floating-point number.
     """
-    n = spec.nodes_per_lobe
-    coarse = 0.5 * (_lobe_sum(f, +x_theta, n) - _lobe_sum(f, -x_theta, n))
-    fine = 0.5 * (_lobe_sum(f, +x_theta, 2 * n) - _lobe_sum(f, -x_theta, 2 * n))
-    if abs(fine - coarse) > spec.abs_tol:
-        raise NonConvergence(
-            f"signed mixture quadrature at x_theta {x_theta!r} did not settle: "
-            f"|I_2N - I_N| = {abs(fine - coarse):.3e} > {spec.abs_tol:.3e}"
-        )
-    return fine
+    return _self_checked(
+        lambda n: 0.5 * (_lobe_sum(f, +x_theta, n) - _lobe_sum(f, -x_theta, n)),
+        f"signed mixture quadrature at x_theta {x_theta!r}",
+        spec,
+    )
 
 
 def adaptive_simpson(

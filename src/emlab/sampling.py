@@ -24,14 +24,14 @@ weight sums raise instead of being clamped.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateWeights, DimensionMismatch
 from .geometry import ABState, MeanPair, MixtureModel, from_ab, to_ab
-from .population import StopRule, Trajectory, _make_record, _sign_target
+from .landscape import _log_cosh
+from .population import StopRule, Trajectory, _trajectory
 
 
 class Dataset:
@@ -90,9 +90,12 @@ def sample_mixture(model: MixtureModel, n: int, seed) -> Dataset:
     return Dataset(zeta[:, None] * model.theta_star + omega, seed, model)
 
 
-def _signed_weights(data: Dataset, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """tanh(<y_i - a, b>) for every row; the +b weight is (1 + this)/2."""
-    return np.tanh((data.data - a) @ b)
+def _posterior(data: Dataset, state: ABState) -> tuple[np.ndarray, np.ndarray, float]:
+    """Signed weights t_i = tanh(<y_i - a, b>), the +b weights w = (1 + t)/2
+    and their mean p_hat, from one tanh pass over the data."""
+    t = np.tanh((data.data - state.a) @ state.b)
+    w = 0.5 * (1.0 + t)
+    return t, w, float(w.mean())
 
 
 def model1_step_sample(theta_hat: np.ndarray, data: Dataset) -> np.ndarray:
@@ -105,29 +108,29 @@ def model1_step_sample(theta_hat: np.ndarray, data: Dataset) -> np.ndarray:
     return (data.data.T @ np.tanh(data.data @ theta_hat)) / data.n
 
 
-def model2_step_mu(means: MeanPair, data: Dataset) -> MeanPair:
-    """One sample EM step in the (mu1, mu2) parameterization."""
-    if means.mu1.shape != (data.dim,):
-        raise DimensionMismatch(
-            f"means have dimension {means.mu1.shape[0]}, data has {data.dim}"
-        )
-    state = to_ab(means)
-    t = _signed_weights(data, state.a, state.b)
+def _step_mu(means: MeanPair, data: Dataset) -> tuple[MeanPair, float]:
+    t, w, p_hat = _posterior(data, to_ab(means))
     v = 0.5 * (1.0 - t)
-    w = 0.5 * (1.0 + t)
     sv = v.sum()
     sw = w.sum()
     if sv < 1e-300 or sw < 1e-300:
         raise DegenerateWeights(
             f"posterior weight sums degenerate: sum v = {sv!r}, sum (1-v) = {sw!r}"
         )
-    return MeanPair(mu1=(v @ data.data) / sv, mu2=(w @ data.data) / sw)
+    return MeanPair(mu1=(v @ data.data) / sv, mu2=(w @ data.data) / sw), p_hat
+
+
+def model2_step_mu(means: MeanPair, data: Dataset) -> MeanPair:
+    """One sample EM step in the (mu1, mu2) parameterization."""
+    if means.mu1.shape != (data.dim,):
+        raise DimensionMismatch(
+            f"means have dimension {means.mu1.shape[0]}, data has {data.dim}"
+        )
+    return _step_mu(means, data)[0]
 
 
 def _step_ab_core(state: ABState, data: Dataset) -> tuple[ABState, float]:
-    t = _signed_weights(data, state.a, state.b)
-    w = 0.5 * (1.0 + t)
-    p_hat = float(w.mean())
+    _, w, p_hat = _posterior(data, state)
     if not 1e-15 < p_hat < 1.0 - 1e-15:
         raise DegenerateWeights(f"p_hat = {p_hat!r} outside (1e-15, 1 - 1e-15)")
     q_hat = (w @ data.data) / data.n
@@ -145,8 +148,7 @@ def model2_step_ab(state: ABState, data: Dataset) -> ABState:
         raise DimensionMismatch(
             f"state has dimension {state.dim}, data has {data.dim}"
         )
-    new_state, _ = _step_ab_core(state, data)
-    return new_state
+    return _step_ab_core(state, data)[0]
 
 
 def sample_loglik(state: ABState, data: Dataset) -> float:
@@ -161,15 +163,13 @@ def sample_loglik(state: ABState, data: Dataset) -> float:
         )
     resid = data.data - state.a
     z = resid @ state.b
-    log_cosh = np.logaddexp(z, -z) - np.log(2.0)
     quad = 0.5 * (np.einsum("ij,ij->i", resid, resid) + state.b @ state.b)
-    return float(np.mean(-0.5 * data.dim * np.log(2.0 * np.pi) - quad + log_cosh))
+    return float(np.mean(-0.5 * data.dim * np.log(2.0 * np.pi) - quad + _log_cosh(z)))
 
 
 def _step_mu_as_ab(state: ABState, data: Dataset) -> tuple[ABState, float]:
-    t = _signed_weights(data, state.a, state.b)
-    p_hat = float((0.5 * (1.0 + t)).mean())
-    return to_ab(model2_step_mu(from_ab(state), data)), p_hat
+    means, p_hat = _step_mu(from_ab(state), data)
+    return to_ab(means), p_hat
 
 
 _FORMS = {"ab": _step_ab_core, "mu": _step_mu_as_ab}
@@ -181,8 +181,9 @@ def run_sample(
     """Iterate the Model-2 sample step from `init` on fixed data.
 
     Record semantics match the population runner: row t is the iterate the
-    step was taken from, with p evaluated there; a converged run does not
-    append the post-step state as a row (it is Trajectory.final_state).
+    step was taken from, with p the posterior mass of the weights that step
+    used; a converged run does not append the post-step state as a row (it
+    is Trajectory.final_state).
     """
     if init.dim != data.dim:
         raise DimensionMismatch(f"init has dimension {init.dim}, data has {data.dim}")
@@ -190,27 +191,10 @@ def run_sample(
         step = _FORMS[form]
     except KeyError:
         raise ValueError(f"form must be one of {sorted(_FORMS)}, got {form!r}") from None
-    model = data.model
-    target = _sign_target(init, model)
-    records = []
-    state = init
-    prev = None
-    converged = False
-    for t in range(stop.max_iters):
-        new_state, p_hat = step(state, data)
-        rec = _make_record(t, state, p_hat, prev, target, model)
-        records.append(rec)
-        prev = rec
-        delta = math.hypot(
-            float(np.linalg.norm(new_state.a - state.a)),
-            float(np.linalg.norm(new_state.b - state.b)),
-        )
-        state = new_state
-        if delta <= stop.step_tol:
-            converged = True
-            break
-    if not converged:
-        t_signed = _signed_weights(data, state.a, state.b)
-        p_final = float((0.5 * (1.0 + t_signed)).mean())
-        records.append(_make_record(stop.max_iters, state, p_final, prev, target, model))
-    return Trajectory(records=tuple(records), final_state=state, converged=converged, target=target)
+    return _trajectory(
+        init,
+        data.model,
+        stop,
+        lambda state: step(state, data),
+        lambda state: _posterior(data, state)[2],
+    )

@@ -21,11 +21,7 @@ class TestResolveConfig:
         resolved, model, spec, init, stop = resolve_config({}, "kernels")
         assert resolved["model"] == {"d": 2, "theta_star": [1.0, 0.0], "sigma": None}
         assert resolved["seed"] == 0
-        assert resolved["quadrature"] == {
-            "nodes_per_lobe": 512,
-            "abs_tol": 1e-10,
-            "truncation_radius": 12.0,
-        }
+        assert resolved["quadrature"] == {"nodes_per_lobe": 512, "abs_tol": 1e-10}
         for axis in resolved["grid"].values():
             assert axis == {"lo": 0.0, "hi": 3.0, "count": 20}
         assert init is None and stop is None
@@ -165,6 +161,19 @@ class TestMainRunners:
         header = (out / "trajectory.csv").read_text().splitlines()[4]
         assert header == "t,theta_0,dist"
 
+    def test_symmetric_run_out_of_budget(self, tmp_path):
+        cfg = _write_config(tmp_path, {
+            "family": "symmetric",
+            "model": {"d": 1, "theta_star": [1.0]},
+            "init": {"theta": [0.4]},
+            "stop": {"max_iters": 3, "step_tol": 1e-10},
+        })
+        out = tmp_path / "out"
+        assert main(["run-population", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["converged"] is False
+        assert summary["steps"] == 3
+
     def test_free_population_run(self, tmp_path):
         cfg = _write_config(
             tmp_path,
@@ -266,20 +275,24 @@ class TestMainErrors:
         assert main(["kernels", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "grid.x_a.count" in capsys.readouterr().err
 
-    def test_bad_threads_flag(self, tmp_path, capsys):
-        assert main(["kernels", "--threads", "0", "--out", str(tmp_path / "o")]) == 2
-        assert "threads" in capsys.readouterr().err
+    def test_too_few_quadrature_nodes_exits_2(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"quadrature": {"nodes_per_lobe": 12}})
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: quadrature.nodes_per_lobe" in capsys.readouterr().err
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("EMLAB_THREADS", "not-a-number")
-        assert main(["kernels", "--config", _write_config(tmp_path, {
-            "grid": {"x_a": {"count": 1}, "x_b": {"count": 1}, "x_theta": {"count": 1}},
-        }), "--out", str(tmp_path / "o")]) == 2
-        capsys.readouterr()
-        monkeypatch.setenv("EMLAB_THREADS", "4")
-        assert main(["kernels", "--config", _write_config(tmp_path, {
-            "grid": {"x_a": {"count": 1}, "x_b": {"count": 1}, "x_theta": {"count": 1}},
-        }), "--out", str(tmp_path / "o")]) == 0
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        """A start far out at b = 3 theta* makes the quadrature fail its
+        self-check; the CLI reports it on one line instead of a traceback."""
+        cfg = _write_config(tmp_path, {
+            "model": {"theta_star": [2.0, 0.0]},
+            "init": {"a": [0.0, 0.0], "b": [6.0, 0.0]},
+        })
+        out = tmp_path / "o"
+        assert main(["run-population", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: NonConvergence: ")
+        assert err.count("\n") == 1
+        assert not any(out.iterdir())
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

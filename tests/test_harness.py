@@ -138,6 +138,15 @@ class TestCoupledRun:
         assert len(pop_traj.records) == 9
         assert sup >= 0.0
 
+    def test_population_side_takes_every_step(self):
+        """Criterion 9's start reaches an exact floating-point fixed point of
+        the population map before T = 50; the coupled run must still record
+        all T steps on both sides, so the sup covers t = 0..T."""
+        init = ABState([0.1, 0.05], [0.6, 0.3])
+        sample_traj, pop_traj, _ = coupled_run(init, MODEL, 100_000, 50, 0)
+        assert len(pop_traj.records) == 51 and not pop_traj.converged
+        assert len(sample_traj.records) == 51 and not sample_traj.converged
+
     def test_sup_dominates_every_step(self):
         sample_traj, pop_traj, sup = coupled_run(INIT, MODEL, 2000, 8, 5)
         for rs, rp in zip(sample_traj.records, pop_traj.records):

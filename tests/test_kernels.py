@@ -16,14 +16,7 @@ from hypothesis import strategies as st
 
 from emlab import (
     DomainError,
-    KernelArgs,
     eval_aux_bounds,
-    eval_F,
-    eval_Gamma,
-    eval_K,
-    eval_P,
-    eval_R,
-    eval_S,
     kernel_f,
     kernel_gamma,
     kernel_k,
@@ -260,23 +253,6 @@ class TestMonteCarloRoute:
 
 
 class TestValidation:
-    def test_negative_argument_rejected(self):
-        with pytest.raises(DomainError):
-            KernelArgs(x_a=-0.1, x_b=1.0, x_theta=0.5)
-
-    def test_nonfinite_argument_rejected(self):
-        with pytest.raises(DomainError):
-            KernelArgs(x_a=0.1, x_b=float("nan"), x_theta=0.5)
-
-    def test_eval_wrappers_match_signed_functions(self):
-        args = KernelArgs(x_a=0.7, x_b=1.3, x_theta=0.9)
-        assert eval_P(args) == kernel_p(0.7, 1.3, 0.9)
-        assert eval_Gamma(args) == kernel_gamma(0.7, 1.3, 0.9)
-        assert eval_S(args) == kernel_s(0.7, 1.3, 0.9)
-        assert eval_R(1.0, 0.0) == kernel_r(1.0, 0.0)
-        assert eval_F(1.0, 2.0) == kernel_f(1.0, 2.0)
-        assert eval_K(1.0, 1.0) == kernel_k(1.0, 1.0)
-
     def test_aux_bounds_domain(self):
         with pytest.raises(DomainError):
             eval_aux_bounds(0.0)

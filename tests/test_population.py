@@ -10,12 +10,10 @@ from scipy import integrate
 from emlab import (
     ABState,
     DimensionMismatch,
-    LimitClass,
     MixtureModel,
     PopStepRecord,
     StopRule,
     a_priori_bounds,
-    classify_limit,
     model1_step,
     model2_step,
     posterior_mass,
@@ -83,17 +81,6 @@ class TestStepStructure:
         assert abs(np.linalg.norm(new) / norm - factor) <= 1e-13
 
 
-class TestClassifyLimit:
-    def test_three_branches(self):
-        model = MixtureModel(2, [1.0, 0.0])
-        plus = ABState([0.0, 0.0], [0.3, 5.0])
-        minus = ABState([0.0, 0.0], [-0.3, 5.0])
-        perp = ABState([0.0, 0.0], [0.0, 5.0])
-        assert classify_limit(plus, model) is LimitClass.PLUS_THETA
-        assert classify_limit(minus, model) is LimitClass.MINUS_THETA
-        assert classify_limit(perp, model) is LimitClass.ZERO
-
-
 class TestRun:
     def test_fixed_point_init_yields_single_record(self):
         traj = run(ABState([0.0, 0.0], MODEL.theta_star.copy()), MODEL)
@@ -139,13 +126,29 @@ class TestRun:
         worst = max(float(np.linalg.norm(off_span @ r.state.b)) for r in traj.records)
         assert worst <= 1e-12
 
+    def test_orthogonal_start_stays_orthogonal(self):
+        """From b exactly orthogonal to theta* (x_theta == 0) the free-means
+        run keeps <b_t, theta*> == 0.0 on every record, whatever the midpoint."""
+        model = MixtureModel(3, [1.2, 0.0, 0.0])
+        init = ABState([0.3, 0.1, -0.2], [0.0, 0.5, 0.4])
+        traj = run(init, model, StopRule(100, 0.0))
+        assert len(traj.records) == 101 and not traj.converged
+        dots = [float(r.state.b @ model.theta_star) for r in traj.records]
+        assert all(v == 0.0 for v in dots)
+        assert float(traj.final_state.b @ model.theta_star) == 0.0
+
+    def test_zero_step_tol_runs_the_whole_budget(self):
+        """From the truth (a fixed point up to rounding) step_tol = 0.0 still
+        takes every step of the budget."""
+        traj = run(ABState([0.0, 0.0], MODEL.theta_star.copy()), MODEL, StopRule(5, 0.0))
+        assert not traj.converged
+        assert [r.t for r in traj.records] == [0, 1, 2, 3, 4, 5]
+
     def test_series_and_rows(self):
         traj = run(ABState([0.1, 0.0], [0.4, 0.1]), MODEL, StopRule(3, 1e-300))
         assert traj.series("norm_a").shape == (4,)
-        rows = traj.rows()
-        assert rows[0][0] == 0
-        assert rows[0][6] is None  # no ratio at t = 0
-        assert rows[1][6] is not None
+        assert traj.records[0].ratio_a is None  # no ratio at t = 0
+        assert traj.records[1].ratio_a is not None
 
 
 class TestRunModel1:
@@ -170,6 +173,21 @@ class TestRunModel1:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             run_model1(np.array([0.5, 0.5]), self.model)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_free_run_from_zero_midpoint(self, d):
+        """Over a whole run, the locked-means iterates are bit for bit the b
+        iterates of the free-means run from a = 0, whose midpoint stays 0."""
+        model = MixtureModel(d, [1.0, 0.3, -0.2][:d])
+        theta0 = np.array([0.4, -0.5, 0.25][:d])
+        stop = StopRule(500, 1e-12)
+        iters = run_model1(theta0, model, stop)
+        traj = run(ABState(np.zeros(d), theta0), model, stop)
+        assert traj.converged
+        free_b = [r.state.b for r in traj.records] + [traj.final_state.b]
+        np.testing.assert_array_equal(iters, np.array(free_b))
+        assert all(np.all(r.state.a == 0.0) and r.p == 0.5 for r in traj.records)
+        np.testing.assert_array_equal(traj.final_state.a, np.zeros(d))
 
 
 class TestAPrioriBounds:
@@ -213,7 +231,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             StopRule(max_iters=0)
         with pytest.raises(ValueError):
-            StopRule(step_tol=0.0)
+            StopRule(step_tol=-1e-12)
+        with pytest.raises(ValueError):
+            StopRule(step_tol=float("nan"))
         with pytest.raises(ValueError):
             StopRule(max_iters=2.0)
 

@@ -23,19 +23,14 @@ class TestSpecValidation:
     def test_defaults(self):
         assert DEFAULT_SPEC.nodes_per_lobe == 512
         assert DEFAULT_SPEC.abs_tol == 1e-10
-        assert DEFAULT_SPEC.truncation_radius == 12.0
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
-            QuadratureSpec(nodes_per_lobe=8, abs_tol=1e-10, truncation_radius=12.0)
+            QuadratureSpec(nodes_per_lobe=8, abs_tol=1e-10)
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
-            QuadratureSpec(nodes_per_lobe=64, abs_tol=0.0, truncation_radius=12.0)
-
-    def test_bad_radius(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(nodes_per_lobe=64, abs_tol=1e-10, truncation_radius=-1.0)
+            QuadratureSpec(nodes_per_lobe=64, abs_tol=0.0)
 
 
 class TestStdNormal:
@@ -117,12 +112,12 @@ class TestMixtureDifference:
 class TestSelfCheck:
     def test_oscillatory_integrand_raises(self):
         """A 16-node rule cannot resolve cos(40 y^2); the N vs 2N check sees it."""
-        rough = QuadratureSpec(nodes_per_lobe=16, abs_tol=1e-12, truncation_radius=12.0)
+        rough = QuadratureSpec(nodes_per_lobe=16, abs_tol=1e-12)
         with pytest.raises(NonConvergence):
             integrate_against_gaussian(lambda y: np.cos(40.0 * y * y), 0.0, rough)
 
     def test_smooth_integrand_passes_at_low_order(self):
-        rough = QuadratureSpec(nodes_per_lobe=32, abs_tol=1e-9, truncation_radius=12.0)
+        rough = QuadratureSpec(nodes_per_lobe=32, abs_tol=1e-9)
         assert integrate_against_gaussian(lambda y: y * y, 0.0, rough) == pytest.approx(1.0, rel=1e-10)
 
 
