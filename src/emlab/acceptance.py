@@ -20,17 +20,17 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ABState, MeanPair, MixtureModel, angle_beta, planar_reduce, state_distance
+from .geometry import (
+    ABState, MeanPair, MixtureModel, angle_beta, from_ab, planar_reduce, state_distance, to_ab,
+)
 from .harness import concentration_check, consistency_ladder, contraction_estimate
 from .kernels import (
     SQRT_2_OVER_PI,
     eval_aux_bounds,
     kernel_f,
-    kernel_gamma,
     kernel_k,
-    kernel_p,
+    kernel_pgs,
     kernel_r,
-    kernel_s,
 )
 from .landscape import Classification, classify_stationary, grad_G
 from .population import (
@@ -44,7 +44,6 @@ from .population import (
 )
 from .quadrature import std_normal_cdf
 from .sampling import model2_step_ab, model2_step_mu, sample_mixture
-from .geometry import from_ab, to_ab
 
 _GRID = tuple(np.linspace(0.0, 3.0, 20))
 _A_MARGIN = 0.5 + 1.0 / math.pi + 0.05
@@ -81,18 +80,12 @@ def criterion_1() -> CriterionResult:
         worst = {"half_f": 0.0, "srr": 0.0, "kdiff": 0.0}
         ineq_ok = True
         notes = []
-        for xb in _GRID:
-            for xt in _GRID:
-                worst["half_f"] = max(
-                    worst["half_f"],
-                    abs(kernel_gamma(0.0, xb, xt) - 0.5 * kernel_f(xb, xt)),
-                )
         for xa in _GRID:
             for xb in _GRID:
                 for xt in _GRID:
-                    p = kernel_p(xa, xb, xt)
-                    g = kernel_gamma(xa, xb, xt)
-                    s = kernel_s(xa, xb, xt)
+                    p, g, s = kernel_pgs(xa, xb, xt)
+                    if xa == 0.0:
+                        worst["half_f"] = max(worst["half_f"], abs(g - 0.5 * kernel_f(xb, xt)))
                     worst["srr"] = max(
                         worst["srr"],
                         abs(g - (xt * s + kernel_r(xb, xa - xt) + kernel_r(xb, xa + xt))),
@@ -567,19 +560,8 @@ def criterion_13() -> CriterionResult:
 
 
 _CRITERIA = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-    criterion_12,
-    criterion_13,
+    criterion_1, criterion_2, criterion_3, criterion_4, criterion_5, criterion_6, criterion_7,
+    criterion_8, criterion_9, criterion_10, criterion_11, criterion_12, criterion_13,
 )
 
 

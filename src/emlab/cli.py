@@ -6,13 +6,13 @@ Usage::
     emlab kernels --out tables/
     emlab verify
 
-Every subcommand accepts ``--config PATH`` (a JSON object), ``--out DIR``
-and ``--seed N`` (overrides the config seed).  Unknown config fields are
-rejected with the exact field path, so typos cannot silently fall back to
-defaults.  Exit status: 0 on success, 1 when ``verify`` has a failing
-criterion, 2 on a config error, 3 on a numerical error (a quadrature rule
-failing its self-check, degenerate posterior weights or a degenerate state),
-reported as one ``numerical error: ...`` line on stderr.
+Every subcommand accepts ``--config PATH`` (JSON), ``--out DIR`` and
+``--seed N`` (overrides the config seed; not for ``verify``).  Unknown config
+fields are rejected with the exact field path, so typos cannot silently fall
+back to defaults.  Exit status: 0 on success, 1 when ``verify`` has a
+failing criterion, 2 on a config error, 3 on a numerical error (a quadrature
+rule failing its self-check, degenerate posterior weights or a degenerate
+state), reported as one ``numerical error: ...`` line on stderr.
 
 Reproducibility contract: with an identical config (seed included) every
 output file is byte-identical across runs.  Floats are serialized with
@@ -30,7 +30,7 @@ Config sections (all optional; defaults in parentheses)::
     seed         integer seed for anything sampled  (0)
     family       "free" | "symmetric"               (run-population)
     init         {"a", "b"} or {"theta"}            (a=0, b=theta*/2)
-    stop         {"max_iters", "step_tol"}          (10000, 1e-10)
+    stop         {"max_iters", "step_tol"}          (10000, 1e-10; 0 = no early stop)
     n            sample size                        (run-sample, coupled)
     T            step budget                        (coupled, consistency)
     trials, n_ladder                                (consistency)
@@ -38,7 +38,7 @@ Config sections (all optional; defaults in parentheses)::
     write_data   also dump the sampled dataset      (run-sample)
     slice        {"a_lo","a_hi","a_steps","b_lo","b_hi","b_steps"}
     grid         {"x_a","x_b","x_theta"} axes, each {"lo","hi","count"}
-    criteria     list of acceptance criterion numbers (verify)
+    criteria     criterion numbers (verify: no model, quadrature or seed)
 """
 
 from __future__ import annotations
@@ -71,14 +71,15 @@ from .sampling import run_sample, sample_mixture
 _DEFAULT_LADDER = (1_000, 10_000, 100_000, 1_000_000)
 
 _COMMON_KEYS = ("command", "model", "quadrature", "seed")
-_EXTRA_KEYS = {
-    "run-population": ("family", "init", "stop"),
-    "run-sample": ("init", "stop", "n", "form", "write_data"),
-    "coupled": ("init", "n", "T"),
-    "landscape": ("slice",),
-    "kernels": ("grid",),
-    "consistency": ("init", "n_ladder", "T", "trials"),
-    "verify": ("criteria",),
+_KEYS = {
+    "run-population": _COMMON_KEYS + ("family", "init", "stop"),
+    "run-sample": _COMMON_KEYS + ("init", "stop", "n", "form", "write_data"),
+    "coupled": _COMMON_KEYS + ("init", "n", "T"),
+    "landscape": _COMMON_KEYS + ("slice",),
+    "kernels": _COMMON_KEYS + ("grid",),
+    "consistency": _COMMON_KEYS + ("init", "n_ladder", "T", "trials"),
+    # each criterion pins its own models, quadrature and seeds
+    "verify": ("command", "criteria"),
 }
 
 
@@ -220,7 +221,9 @@ def _resolve_stop(raw):
     section = _expect_mapping(raw.get("stop", {}), "stop")
     _reject_unknown(section, ("max_iters", "step_tol"), "stop")
     max_iters = _int_field(section, "max_iters", "stop", 10_000, minimum=1)
-    step_tol = _float_field(section, "step_tol", "stop", 1e-10, positive=True)
+    step_tol = _float_field(section, "step_tol", "stop", 1e-10)
+    if step_tol < 0.0:  # 0.0 runs the whole budget
+        raise ConfigError("stop.step_tol", f"must be >= 0.0, got {step_tol!r}")
     return {"max_iters": max_iters, "step_tol": step_tol}, StopRule(max_iters, step_tol)
 
 
@@ -242,13 +245,12 @@ def resolve_config(raw, command, seed_override=None):
     key set) whose canonical serialization is what gets hashed.
     """
     raw = _expect_mapping(raw, "<config>")
-    allowed = _COMMON_KEYS + _EXTRA_KEYS[command]
-    _reject_unknown(raw, allowed, "")
+    if seed_override is not None:
+        raw = dict(raw, seed=seed_override)
+    _reject_unknown(raw, _KEYS[command], "")
     declared = raw.get("command", command)
     if declared != command:
         raise ConfigError("command", f"config is for {declared!r}, invoked as {command!r}")
-    if seed_override is not None:
-        raw = dict(raw, seed=seed_override)
     resolved = {"command": command}
     resolved["model"], model = _resolve_model(raw)
     resolved["quadrature"], spec = _resolve_quadrature(raw)

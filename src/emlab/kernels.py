@@ -17,6 +17,15 @@ Delta(y, x_theta), or a single Gaussian lobe:
     F(x_b, x_theta)          = int tanh(u x_b) u phi(u - x_theta) du
     K(x, x_b)                = int 0.5 tanh(y x_b) phi(y - x) dy
 
+P, Gamma and S come from one core, kernel_pgs (kernel_p, kernel_gamma and
+kernel_s are views of it), which sums t = tanh((y - x_a) x_b) = 2w - 1 over
+each lobe: T0 = int t phi(y -+ x_theta) dy, T1 = int t y phi(y -+ x_theta) dy,
+
+    P = 1/2 + (T0+ + T0-)/4,   Gamma = (T1+ + T1-)/4,   S = (T0+ - T0-)/4,
+
+so P(x_a, 0, x_theta) == 0.5, S(x_a, x_b, +-0.0) == 0.0 and
+Gamma(0, x_b, 0) == F(x_b, 0) / 2 hold bit for bit.
+
 The kernel_* functions accept any finite real x_a / x_theta: the integrals
 are well defined there, and the planar reduction of the population step
 needs the signed values (P and Gamma are even in x_theta, S is odd, and
@@ -45,12 +54,14 @@ from .errors import DomainError
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
+    _gh_rule,
+    _self_checked,
     integrate_against_gaussian,
-    integrate_against_mixture,
-    integrate_against_mixture_diff,
     std_normal_cdf,
     std_normal_pdf,
 )
+# not called here; kept importable because the benchmark tracer (perfbench/spans.py) wraps them
+from .quadrature import integrate_against_mixture, integrate_against_mixture_diff  # noqa: F401
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -60,23 +71,39 @@ def weight_1d(u, x_b):
     return 0.5 * (1.0 + np.tanh(u * x_b))
 
 
+def kernel_pgs(
+    x_a: float, x_b: float, x_theta: float, spec: QuadratureSpec = DEFAULT_SPEC
+) -> tuple[float, float, float]:
+    """(P, Gamma, S) from one tanh pass per lobe and resolution, each value
+    self-checked.  The sums run over t, not w = (1 + t)/2: the constant half
+    would leave the rounding of int y p(y) dy (~1e-17) in Gamma at small x_b."""
+
+    def at(n: int) -> tuple[float, float, float]:
+        nodes, weights = _gh_rule(n)
+        t0, t1 = [], []
+        for center in (x_theta, -x_theta):
+            y = center + nodes
+            t = np.tanh((y - x_a) * x_b)
+            t0.append(float(np.dot(weights, t)))
+            t1.append(float(np.dot(weights, t * y)))
+        return 0.5 + 0.25 * (t0[0] + t0[1]), 0.25 * (t1[0] + t1[1]), 0.25 * (t0[0] - t0[1])
+
+    return _self_checked(at, f"(P, Gamma, S) quadrature at x_theta {x_theta!r}", spec)
+
+
 def kernel_p(x_a: float, x_b: float, x_theta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """int w(y - x_a, x_b) p(y, x_theta) dy."""
-    return integrate_against_mixture(lambda y: weight_1d(y - x_a, x_b), x_theta, spec)
+    """int w(y - x_a, x_b) p(y, x_theta) dy; exactly 0.5 at x_b == 0."""
+    return kernel_pgs(x_a, x_b, x_theta, spec)[0]
 
 
 def kernel_gamma(x_a: float, x_b: float, x_theta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """int w(y - x_a, x_b) * y * p(y, x_theta) dy."""
-    return integrate_against_mixture(
-        lambda y: weight_1d(y - x_a, x_b) * y, x_theta, spec
-    )
+    return kernel_pgs(x_a, x_b, x_theta, spec)[1]
 
 
 def kernel_s(x_a: float, x_b: float, x_theta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """int w(y - x_a, x_b) Delta(y, x_theta) dy; exactly 0.0 at x_theta == 0."""
-    return integrate_against_mixture_diff(
-        lambda y: weight_1d(y - x_a, x_b), x_theta, spec
-    )
+    return kernel_pgs(x_a, x_b, x_theta, spec)[2]
 
 
 def kernel_r(x_b: float, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -135,15 +162,8 @@ def tabulate(
         for x_b in values_b:
             for x_theta in values_theta:
                 rows.append(
-                    (
-                        float(x_a),
-                        float(x_b),
-                        float(x_theta),
-                        kernel_p(x_a, x_b, x_theta, spec),
-                        kernel_gamma(x_a, x_b, x_theta, spec),
-                        kernel_s(x_a, x_b, x_theta, spec),
-                        kernel_f(x_b, x_theta, spec),
-                        kernel_k(x_a, x_b, spec),
-                    )
+                    (float(x_a), float(x_b), float(x_theta))
+                    + kernel_pgs(x_a, x_b, x_theta, spec)
+                    + (kernel_f(x_b, x_theta, spec), kernel_k(x_a, x_b, spec))
                 )
     return rows

@@ -105,8 +105,7 @@ def grad_G(
         # weights are identically 1/2: E[v Y] = 0, so the residual is -mu/2.
         return -0.5 * means.mu1, -0.5 * means.mu2
     coords = planar_reduce(state, model)
-    p, q1, q2 = _planar_p_q(coords, spec)
-    q_vec = q1 * coords.e1 + q2 * coords.e2
+    p, q_vec = _planar_p_q(coords, spec)
     return -q_vec - means.mu1 * (1.0 - p), q_vec - means.mu2 * p
 
 

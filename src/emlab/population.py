@@ -3,23 +3,24 @@
 Model 1 estimates a single vector theta (component means locked to ±theta);
 Model 2 estimates free means, tracked here in centered (a, b) coordinates.
 Each step is evaluated exactly on span(b, theta_star) via the planar
-reduction and the scalar kernels:
+reduction and one call of the kernel core (P, Gamma, S) = kernel_pgs:
 
     p  = P(x_a, ||b||, theta1)
     q  = Gamma(x_a, ||b||, theta1) e1  +  theta2 S(x_a, ||b||, theta1) e2
     a+ = q (1 - 2p) / (2p(1-p))
     b+ = q / (2p(1-p))
 
-Model 1 is the a = 0 slice: theta+ = F(||theta||, |theta1|) e1
-+ 2 theta2 S(0, ||theta||, theta1) e2.  ``model1_step`` is the free-means
-step taken from (0, theta), so ``model2_step`` at a = 0 reproduces it
-bit-for-bit, and ``run``, ``run_sample`` and ``run_model1`` share one
-iteration driver and one stop rule.
+Model 1 is the a = 0 slice, where p = 1/2 and a+ = 0 are set exactly.
+``model1_step`` is the free-means step taken from (0, theta), so
+``model2_step`` at a = 0 reproduces it bit-for-bit, and ``run``,
+``run_sample`` and ``run_model1`` share one iteration driver and one stop
+rule.  A step whose p leaves (1e-15, 1 - 1e-15) raises DegenerateWeights.
 
 Exactness guarantees (no thresholding involved):
   * <a, b> == 0.0 implies p = 0.5 and a+ = 0 exactly;
   * x_theta == 0 slices (b exactly orthogonal to theta_star, constructed in
-    orthogonal coordinates) keep <b+, theta_star> == 0.0 exactly;
+    orthogonal coordinates) keep <b+, theta_star> == 0.0 exactly, and there
+    Gamma(0, x_b, 0) == F(x_b, 0) / 2 bit for bit;
   * b == 0 maps to the absorbing state (0, 0) with p = 0.5.
 """
 
@@ -31,9 +32,11 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DegenerateWeights, DimensionMismatch
 from .geometry import ABState, MixtureModel, PlanarCoords, planar_reduce, state_distance
-from .kernels import kernel_f, kernel_gamma, kernel_p, kernel_s
+from .kernels import kernel_pgs
+# not called here; kept importable because the benchmark tracer (perfbench/spans.py) wraps them
+from .kernels import kernel_f, kernel_gamma, kernel_p, kernel_s  # noqa: F401
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, std_normal_cdf
 
 _P_INTERIOR = 1e-15
@@ -110,33 +113,22 @@ class Trajectory:
         return np.array([getattr(r, field) for r in self.records], dtype=float)
 
 
-def _planar_p_q(coords: PlanarCoords, spec: QuadratureSpec) -> tuple[float, float, float]:
-    """Posterior mass and in-plane q coefficients for a reduced state.
+def _planar_p_q(coords: PlanarCoords, spec: QuadratureSpec) -> tuple[float, np.ndarray]:
+    """Posterior mass p and the vector q = E[w Y] for a reduced state.
 
-    The x_a == 0 slice takes the single-lobe route (q1 = F/2, p = 1/2 exactly)
-    so that the a = 0 dynamics of both models share floating-point values.
+    One kernel-core call; p is set to exactly 1/2 on the x_a == 0 slice,
+    where the two lobe sums of P cancel only up to rounding.
     """
-    x_a, x_b, t1, t2 = coords.x_a, coords.norm_b, coords.theta1, coords.theta2
-    if x_a == 0.0:
+    p, q1, s = kernel_pgs(coords.x_a, coords.norm_b, coords.theta1, spec)
+    if coords.x_a == 0.0:
         p = 0.5
-        q1 = 0.5 * kernel_f(x_b, abs(t1), spec)
-        q2 = t2 * kernel_s(0.0, x_b, t1, spec)
-    else:
-        p = kernel_p(x_a, x_b, t1, spec)
-        q1 = kernel_gamma(x_a, x_b, t1, spec)
-        q2 = t2 * kernel_s(x_a, x_b, t1, spec)
-    return p, q1, q2
+    return p, q1 * coords.e1 + (coords.theta2 * s) * coords.e2
 
 
 def posterior_mass(state: ABState, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """The scalar p for one step taken from ``state``; exactly 0.5 whenever
     <a, b> == 0 (in particular for b == 0)."""
-    if float(np.linalg.norm(state.b)) == 0.0:
-        return 0.5
-    coords = planar_reduce(state, model)
-    if coords.x_a == 0.0:
-        return 0.5
-    return kernel_p(coords.x_a, coords.norm_b, coords.theta1, spec)
+    return _step_core(state, model, spec)[1]
 
 
 def _step_core(
@@ -146,8 +138,12 @@ def _step_core(
         zero = np.zeros(model.dim)
         return ABState(zero, zero), 0.5
     coords = planar_reduce(state, model)
-    p, q1, q2 = _planar_p_q(coords, spec)
-    q_vec = q1 * coords.e1 + q2 * coords.e2
+    p, q_vec = _planar_p_q(coords, spec)
+    if not _P_INTERIOR < p < 1.0 - _P_INTERIOR:
+        raise DegenerateWeights(
+            f"posterior mass p = {p!r} outside (1e-15, 1 - 1e-15) at x_a = {coords.x_a!r}, "
+            f"||b|| = {coords.norm_b!r}, theta1 = {coords.theta1!r}"
+        )
     denom = 2.0 * p * (1.0 - p)
     if coords.x_a == 0.0:
         a_new = np.zeros(model.dim)
@@ -198,12 +194,7 @@ def _make_record(
     if prev is None:
         return PopStepRecord(t, state, p, beta, norm_a, dist_b)
     return PopStepRecord(
-        t,
-        state,
-        p,
-        beta,
-        norm_a,
-        dist_b,
+        t, state, p, beta, norm_a, dist_b,
         ratio_a=_ratio(norm_a, prev.norm_a),
         ratio_b=_ratio(dist_b, prev.dist_b),
         ratio_sin=_ratio(math.sin(beta), prev.sin_beta),

@@ -95,9 +95,29 @@ class TestConfigErrors:
         payload = {"stop": {"max_iters": True}}
         assert self.field(payload, command="run-population") == "stop.max_iters"
 
-    def test_nonpositive_step_tol(self):
-        payload = {"stop": {"step_tol": 0.0}}
-        assert self.field(payload, command="run-population") == "stop.step_tol"
+    def test_negative_step_tol(self):
+        """0.0 runs the whole budget; a negative or NaN tolerance is an error."""
+        for tol in (-1e-12, float("nan")):
+            payload = {"stop": {"step_tol": tol}}
+            assert self.field(payload, command="run-population") == "stop.step_tol"
+
+    @pytest.mark.parametrize(
+        "section, value", [("model", {"d": 3}), ("quadrature", {"abs_tol": 1e-9}), ("seed", 3)]
+    )
+    def test_verify_rejects_sections_it_would_ignore(self, section, value):
+        """Each criterion pins its own model, rule and seeds."""
+        assert self.field({"criteria": [11], section: value}, command="verify") == section
+
+    def test_verify_rejects_seed_flag(self):
+        with pytest.raises(ConfigError) as err:
+            resolve_config({"criteria": [11]}, "verify", seed_override=3)
+        assert err.value.field == "seed"
+
+    def test_verify_config_hash_unchanged(self):
+        resolved, *_ = resolve_config({"command": "verify", "criteria": [11]}, "verify")
+        assert config_hash(resolved) == (
+            "e87853a8cec790a571d1d2fe84aae4abb883b7b5e13287b385208e7ecf79000b"
+        )
 
     def test_reversed_axis(self):
         payload = {"grid": {"x_a": {"lo": 2.0, "hi": 1.0}}}
@@ -173,6 +193,22 @@ class TestMainRunners:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is False
         assert summary["steps"] == 3
+
+    def test_symmetric_run_with_zero_step_tol_takes_the_whole_budget(self, tmp_path):
+        """On the orthogonal slice the norm decays like (2t)^-1/2, so a step_tol
+        of 0 must run all 50 steps: 51 rows, not converged."""
+        cfg = _write_config(tmp_path, {
+            "family": "symmetric",
+            "model": {"d": 2, "theta_star": [1.0, 0.0]},
+            "init": {"theta": [0.0, 0.5]},
+            "stop": {"max_iters": 50, "step_tol": 0},
+        })
+        out = tmp_path / "out"
+        assert main(["run-population", "--config", cfg, "--out", str(out)]) == 0
+        assert len((out / "trajectory.csv").read_text().splitlines()[5:]) == 51
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["converged"] is False
+        assert summary["steps"] == 50
 
     def test_free_population_run(self, tmp_path):
         cfg = _write_config(
@@ -291,6 +327,20 @@ class TestMainErrors:
         assert main(["run-population", "--config", cfg, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical error: NonConvergence: ")
+        assert err.count("\n") == 1
+        assert not any(out.iterdir())
+
+    def test_collapsed_weights_exit_3(self, tmp_path, capsys):
+        """A midpoint 20 units out puts p at ~1e-38; the step reports
+        DegenerateWeights on one line instead of a traceback."""
+        cfg = _write_config(tmp_path, {
+            "model": {"theta_star": [1.0, 0.0]},
+            "init": {"a": [20.0, 0.0], "b": [2.0, 0.0]},
+        })
+        out = tmp_path / "o"
+        assert main(["run-population", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: DegenerateWeights: ")
         assert err.count("\n") == 1
         assert not any(out.iterdir())
 

@@ -16,16 +16,19 @@ from hypothesis import strategies as st
 
 from emlab import (
     DomainError,
+    NonConvergence,
+    QuadratureSpec,
     eval_aux_bounds,
     kernel_f,
     kernel_gamma,
     kernel_k,
     kernel_p,
+    kernel_pgs,
     kernel_r,
     kernel_s,
 )
 from emlab.kernels import SQRT_2_OVER_PI, tabulate, weight_1d
-from emlab.quadrature import std_normal_cdf
+from emlab.quadrature import adaptive_simpson, mixture_pdf_1d, std_normal_cdf, std_normal_pdf
 
 coord = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 
@@ -73,6 +76,46 @@ class TestFrozenValues:
             (1.0404144677895306, 0.12020723389476531, 0.10021018787071834, 0.048828917757664236),
             rtol=1e-13,
         )
+
+
+class TestCore:
+    """kernel_pgs, the one evaluation behind P, Gamma and S."""
+
+    @pytest.mark.parametrize(
+        "x_a, x_b, x_t",
+        [(0.0, 1.3, 0.9), (0.7, 1.1, 0.0), (0.4, 1e-4, 1.2), (-0.8, 0.9, -1.1)],
+    )
+    def test_matches_simpson_of_the_defining_integrals(self, x_a, x_b, x_t):
+        def w(y):
+            return float(weight_1d(y - x_a, x_b))
+
+        def delta(y):
+            return 0.5 * (std_normal_pdf(y - x_t) - std_normal_pdf(y + x_t))
+
+        lo, hi = -abs(x_t) - 12.0, abs(x_t) + 12.0
+        expected = (
+            adaptive_simpson(lambda y: w(y) * mixture_pdf_1d(y, x_t), lo, hi, tol=1e-13),
+            adaptive_simpson(lambda y: w(y) * y * mixture_pdf_1d(y, x_t), lo, hi, tol=1e-13),
+            adaptive_simpson(lambda y: w(y) * delta(y), lo, hi, tol=1e-13),
+        )
+        np.testing.assert_allclose(kernel_pgs(x_a, x_b, x_t), expected, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("x_t", [0.0, -0.0])
+    def test_S_is_exactly_zero_on_the_orthogonal_slice(self, x_t):
+        for x_a, x_b in ((0.0, 1.0), (0.5, 2.0), (-1.3, 0.3)):
+            assert kernel_pgs(x_a, x_b, x_t)[2] == 0.0
+
+    def test_P_is_exactly_half_at_flat_weight(self):
+        for x_a, x_t in ((0.0, 0.0), (0.9, 1.4), (-2.0, -0.5)):
+            assert kernel_pgs(x_a, 0.0, x_t)[0] == 0.5
+
+    def test_gamma_at_the_centered_orthogonal_point_is_half_F_bitwise(self):
+        for x_b in (1e-4, 0.05, 1.0, 2.5):
+            assert kernel_pgs(0.0, x_b, 0.0)[1] == kernel_f(x_b, 0.0) / 2.0
+
+    def test_rough_rule_fails_its_self_check(self):
+        with pytest.raises(NonConvergence):
+            kernel_pgs(0.3, 8.0, 1.0, QuadratureSpec(nodes_per_lobe=16, abs_tol=1e-14))
 
 
 class TestSpotValues:
