@@ -20,9 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (
-    ABState, MeanPair, MixtureModel, angle_beta, from_ab, planar_reduce, state_distance, to_ab,
-)
+from .geometry import ABState, MeanPair, MixtureModel, from_ab, state_distance, to_ab
 from .harness import concentration_check, consistency_ladder, contraction_estimate
 from .kernels import (
     SQRT_2_OVER_PI,
@@ -36,6 +34,7 @@ from .landscape import Classification, classify_stationary, grad_G
 from .population import (
     StopRule,
     Trajectory,
+    _beta_of,
     _sign_target,
     a_priori_bounds,
     model2_step,
@@ -293,8 +292,8 @@ def _pre_floor(traj: Trajectory) -> Trajectory:
     """Records strictly above the numerical floors of each diagnostic.
 
     Converged tails sit on plateaus (b-distance at the quadrature-bias
-    offset of the float fixed point, angle at the collinear snap, a-norm at
-    rounding scale); ratios taken there measure noise, not contraction.
+    offset of the float fixed point, angle and a-norm at rounding scale);
+    ratios taken there measure noise, not contraction.
     """
     kept = []
     for r in traj.records:
@@ -315,10 +314,7 @@ def _series(traj: Trajectory, model: MixtureModel):
     norm_a.append(float(np.linalg.norm(final.a)))
     dist_b.append(float(np.linalg.norm(final.b - traj.target)))
     norm_b.append(float(np.linalg.norm(final.b)))
-    if norm_b[-1] > 0.0:
-        sin_b.append(math.sin(angle_beta(planar_reduce(final, model))))
-    else:
-        sin_b.append(float("nan"))
+    sin_b.append(math.sin(_beta_of(final, model)))
     return np.array(norm_a), np.array(dist_b), np.array(norm_b), np.array(sin_b)
 
 

@@ -377,7 +377,7 @@ class _Sink:
             "config": self.resolved,
         }
         document.update(payload)
-        path.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
+        path.write_text(json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n")
         self.written.append(path)
         return path
 
@@ -534,7 +534,8 @@ def _cmd_consistency(sink, model, spec, init, stop, resolved):
             "n_ladder": list(result.n_ladder),
             "sup_discrepancy": list(result.sup_discrepancy),
             "final_error": list(result.final_error),
-            "slope": result.slope,
+            # a ladder of fewer than 4 rungs has no rate fit: null, not NaN
+            "slope": None if math.isnan(result.slope) else result.slope,
             "trials": result.trials,
             "seeds": list(result.seeds),
         },

@@ -1,14 +1,18 @@
 """Model/state containers and the exact planar reduction.
 
 The population update for the free-means model only ever moves inside
-span(b, theta_star).  planar_reduce builds an orthonormal basis (e1, e2) of
-that plane with e1 = b/||b|| and e2 the Gram-Schmidt remainder of theta_star
-(oriented so that the second coordinate of theta_star is >= 0), and returns
-the scalar coordinates the kernel evaluations need:
+span(b, theta_star).  planar_reduce splits theta_star along e1 = b/||b||
+and returns the scalar coordinates the kernel evaluations need,
 
-    x_a    = <a, b> / ||b||      (signed offset along the separation axis)
-    theta1 = <theta_star, e1>    (signed)
-    theta2 = ||theta_star - theta1 e1||  (>= 0 by construction)
+    x_a        = <a, b> / ||b||        (signed offset along the separation axis)
+    theta1     = <theta_star, e1>      (signed)
+    theta2     = ||theta_perp||        (>= 0 by construction)
+
+together with e1 and the in-plane remainder theta_perp = theta_star - theta1 e1,
+so that theta_star = theta1 e1 + theta_perp.  Every in-plane vector the step
+needs is a combination of e1 and theta_perp, so no second unit vector is
+built; theta_perp is exactly zero in dimension 1 and needs no special case
+when b and theta_star are (nearly) collinear.
 
 Exact zeros are preserved: no thresholding is applied to <a, b> or
 <theta_star, e1>, so states constructed in orthogonal coordinates keep their
@@ -19,13 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateState, DimensionMismatch, NotPositiveDefinite
-
-_COLLINEAR_RTOL = 1e-12
-_BASIS_TOL = 1e-12
 
 
 def _as_vector(value, name: str) -> np.ndarray:
@@ -103,45 +105,16 @@ class ABState:
         return self.a.size
 
 
-@dataclass(frozen=True)
-class PlanarCoords:
-    """Orthonormal in-plane basis plus the scalar reduction coordinates."""
+class PlanarCoords(NamedTuple):
+    """Scalar reduction coordinates plus the two in-plane vectors that carry
+    them: e1 = b/||b|| and theta_perp = theta_star - theta1 e1."""
 
     x_a: float
     norm_b: float
     theta1: float
     theta2: float
     e1: np.ndarray
-    e2: np.ndarray
-
-    def __init__(self, x_a, norm_b, theta1, theta2, e1, e2) -> None:
-        v1 = _as_vector(e1, "e1")
-        v2 = _as_vector(e2, "e2")
-        if v1.size != v2.size:
-            raise DimensionMismatch("e1 and e2 must have the same length")
-        if norm_b < 0.0:
-            raise ValueError(f"norm_b must be >= 0, got {norm_b!r}")
-        if theta2 < 0.0:
-            raise ValueError(f"theta2 must be >= 0, got {theta2!r}")
-        if abs(np.linalg.norm(v1) - 1.0) > _BASIS_TOL:
-            raise ValueError("e1 must be a unit vector")
-        n2 = float(np.linalg.norm(v2))
-        # e2 may be the zero vector only in dimension 1, where no orthogonal
-        # direction exists; it is then never used (theta2 == 0 forces the
-        # e2-coefficient of every update to vanish).
-        if v1.size == 1:
-            if n2 != 0.0:
-                raise ValueError("in dimension 1 e2 must be the zero vector")
-        elif abs(n2 - 1.0) > _BASIS_TOL:
-            raise ValueError("e2 must be a unit vector")
-        if abs(float(np.dot(v1, v2))) > _BASIS_TOL:
-            raise ValueError("e1 and e2 must be orthogonal")
-        object.__setattr__(self, "x_a", float(x_a))
-        object.__setattr__(self, "norm_b", float(norm_b))
-        object.__setattr__(self, "theta1", float(theta1))
-        object.__setattr__(self, "theta2", float(theta2))
-        object.__setattr__(self, "e1", v1)
-        object.__setattr__(self, "e2", v2)
+    theta_perp: np.ndarray
 
 
 def state_distance(x: ABState, y: ABState) -> float:
@@ -162,16 +135,6 @@ def from_ab(state: ABState) -> MeanPair:
     return MeanPair(state.a - state.b, state.a + state.b)
 
 
-def _orthogonal_filler(e1: np.ndarray) -> np.ndarray:
-    """A unit vector orthogonal to e1 (dimension >= 2), built by
-    Gram-Schmidt from the standard basis vector least aligned with e1."""
-    k = int(np.argmin(np.abs(e1)))
-    v = np.zeros_like(e1)
-    v[k] = 1.0
-    v = v - float(np.dot(v, e1)) * e1
-    return v / float(np.linalg.norm(v))
-
-
 def planar_reduce(state: ABState, model: MixtureModel) -> PlanarCoords:
     """Reduce (a, b) against theta_star to in-plane scalar coordinates."""
     if state.dim != model.dim:
@@ -184,19 +147,11 @@ def planar_reduce(state: ABState, model: MixtureModel) -> PlanarCoords:
     e1 = state.b / norm_b
     x_a = float(np.dot(state.a, state.b)) / norm_b
     theta1 = float(np.dot(model.theta_star, e1))
-    resid = model.theta_star - theta1 * e1
-    resid_norm = float(np.linalg.norm(resid))
-    if resid_norm <= _COLLINEAR_RTOL * model.norm_theta or model.dim == 1:
-        theta2 = 0.0
-        e2 = np.zeros_like(e1) if model.dim == 1 else _orthogonal_filler(e1)
-    else:
-        theta2 = resid_norm
-        # second Gram-Schmidt pass: near-collinear theta_star cancels badly
-        # enough that one projection leaves e2 only ~|resid|-relatively
-        # orthogonal to e1
-        resid = resid - float(np.dot(resid, e1)) * e1
-        e2 = resid / float(np.linalg.norm(resid))
-    return PlanarCoords(x_a, norm_b, theta1, theta2, e1, e2)
+    # theta2 is the norm of the residual, not sqrt(|theta*|^2 - theta1^2):
+    # the Pythagorean form loses half the mantissa near collinearity and
+    # floors sin(beta) at ~1e-8 instead of ~1e-16.
+    theta_perp = model.theta_star - theta1 * e1
+    return PlanarCoords(x_a, norm_b, theta1, float(np.linalg.norm(theta_perp)), e1, theta_perp)
 
 
 def angle_beta(coords: PlanarCoords) -> float:

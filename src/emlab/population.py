@@ -6,7 +6,7 @@ Each step is evaluated exactly on span(b, theta_star) via the planar
 reduction and one call of the kernel core (P, Gamma, S) = kernel_pgs:
 
     p  = P(x_a, ||b||, theta1)
-    q  = Gamma(x_a, ||b||, theta1) e1  +  theta2 S(x_a, ||b||, theta1) e2
+    q  = Gamma(x_a, ||b||, theta1) e1  +  S(x_a, ||b||, theta1) theta_perp
     a+ = q (1 - 2p) / (2p(1-p))
     b+ = q / (2p(1-p))
 
@@ -19,7 +19,8 @@ rule.  A step whose p leaves (1e-15, 1 - 1e-15) raises DegenerateWeights.
 Exactness guarantees (no thresholding involved):
   * <a, b> == 0.0 implies p = 0.5 and a+ = 0 exactly;
   * x_theta == 0 slices (b exactly orthogonal to theta_star, constructed in
-    orthogonal coordinates) keep <b+, theta_star> == 0.0 exactly, and there
+    orthogonal coordinates) give S == 0.0 and so q == Gamma e1 bit for bit,
+    which keeps <b+, theta_star> == 0.0 exactly, and there
     Gamma(0, x_b, 0) == F(x_b, 0) / 2 bit for bit;
   * b == 0 maps to the absorbing state (0, 0) with p = 0.5.
 """
@@ -33,7 +34,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateWeights, DimensionMismatch
-from .geometry import ABState, MixtureModel, PlanarCoords, planar_reduce, state_distance
+from .geometry import ABState, MixtureModel, PlanarCoords, angle_beta, planar_reduce, state_distance
 from .kernels import kernel_pgs
 # not called here; kept importable because the benchmark tracer (perfbench/spans.py) wraps them
 from .kernels import kernel_f, kernel_gamma, kernel_p, kernel_s  # noqa: F401
@@ -122,7 +123,7 @@ def _planar_p_q(coords: PlanarCoords, spec: QuadratureSpec) -> tuple[float, np.n
     p, q1, s = kernel_pgs(coords.x_a, coords.norm_b, coords.theta1, spec)
     if coords.x_a == 0.0:
         p = 0.5
-    return p, q1 * coords.e1 + (coords.theta2 * s) * coords.e2
+    return p, q1 * coords.e1 + s * coords.theta_perp
 
 
 def posterior_mass(state: ABState, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -161,17 +162,10 @@ def model1_step(theta, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC)
 
 
 def _beta_of(state: ABState, model: MixtureModel) -> float:
-    norm_b = float(np.linalg.norm(state.b))
-    norm_t = model.norm_theta
-    if norm_b == 0.0 or norm_t == 0.0:
+    """The angle between b and theta_star; nan when either is zero."""
+    if float(np.linalg.norm(state.b)) == 0.0 or model.norm_theta == 0.0:
         return float("nan")
-    e1 = state.b / norm_b
-    theta1 = float(np.dot(model.theta_star, e1))
-    # Gram-Schmidt residual, not sqrt(norm^2 - theta1^2): the Pythagorean
-    # form loses half the mantissa near collinearity and floors the sine
-    # diagnostic at ~1e-8 instead of ~1e-16.
-    theta2 = float(np.linalg.norm(model.theta_star - theta1 * e1))
-    return math.atan2(theta2, theta1)
+    return angle_beta(planar_reduce(state, model))
 
 
 def _ratio(curr: float, prev: Optional[float]) -> Optional[float]:

@@ -18,8 +18,9 @@ saturation-safe tanh form
 
 tanh is odd bit-for-bit, so w and v are exactly complementary and the two
 Model-2 forms agree to rounding (they are the same algebra).  Note that for
-|<y - a, b>| beyond ~19 the weights round to exactly 0.0/1.0; degenerate
-weight sums raise instead of being clamped.
+|<y - a, b>| beyond ~19 the weights round to exactly 0.0/1.0; a p_hat
+outside (1e-15, 1 - 1e-15) raises DegenerateWeights instead of being
+clamped.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import DegenerateWeights, DimensionMismatch
 from .geometry import ABState, MeanPair, MixtureModel, from_ab, to_ab
 from .landscape import _log_cosh
-from .population import StopRule, Trajectory, _trajectory
+from .population import _P_INTERIOR, StopRule, Trajectory, _trajectory
 
 
 class Dataset:
@@ -92,10 +93,14 @@ def sample_mixture(model: MixtureModel, n: int, seed) -> Dataset:
 
 def _posterior(data: Dataset, state: ABState) -> tuple[np.ndarray, np.ndarray, float]:
     """Signed weights t_i = tanh(<y_i - a, b>), the +b weights w = (1 + t)/2
-    and their mean p_hat, from one tanh pass over the data."""
+    and their mean p_hat, from one tanh pass over the data; DegenerateWeights
+    when p_hat leaves (1e-15, 1 - 1e-15)."""
     t = np.tanh((data.data - state.a) @ state.b)
     w = 0.5 * (1.0 + t)
-    return t, w, float(w.mean())
+    p_hat = float(w.mean())
+    if not _P_INTERIOR < p_hat < 1.0 - _P_INTERIOR:
+        raise DegenerateWeights(f"p_hat = {p_hat!r} outside (1e-15, 1 - 1e-15)")
+    return t, w, p_hat
 
 
 def model1_step_sample(theta_hat: np.ndarray, data: Dataset) -> np.ndarray:
@@ -111,13 +116,9 @@ def model1_step_sample(theta_hat: np.ndarray, data: Dataset) -> np.ndarray:
 def _step_mu(means: MeanPair, data: Dataset) -> tuple[MeanPair, float]:
     t, w, p_hat = _posterior(data, to_ab(means))
     v = 0.5 * (1.0 - t)
-    sv = v.sum()
-    sw = w.sum()
-    if sv < 1e-300 or sw < 1e-300:
-        raise DegenerateWeights(
-            f"posterior weight sums degenerate: sum v = {sv!r}, sum (1-v) = {sw!r}"
-        )
-    return MeanPair(mu1=(v @ data.data) / sv, mu2=(w @ data.data) / sw), p_hat
+    # p_hat inside (1e-15, 1 - 1e-15) keeps some t_i off +-1, so both sums
+    # are at least ~5e-17
+    return MeanPair(mu1=(v @ data.data) / v.sum(), mu2=(w @ data.data) / w.sum()), p_hat
 
 
 def model2_step_mu(means: MeanPair, data: Dataset) -> MeanPair:
@@ -131,8 +132,6 @@ def model2_step_mu(means: MeanPair, data: Dataset) -> MeanPair:
 
 def _step_ab_core(state: ABState, data: Dataset) -> tuple[ABState, float]:
     _, w, p_hat = _posterior(data, state)
-    if not 1e-15 < p_hat < 1.0 - 1e-15:
-        raise DegenerateWeights(f"p_hat = {p_hat!r} outside (1e-15, 1 - 1e-15)")
     q_hat = (w @ data.data) / data.n
     ybar = data.mean
     denom = 2.0 * p_hat * (1.0 - p_hat)

@@ -16,6 +16,10 @@ def _write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 class TestResolveConfig:
     def test_kernels_defaults(self):
         resolved, model, spec, init, stop = resolve_config({}, "kernels")
@@ -279,6 +283,24 @@ class TestMainRunners:
         assert len(doc["sup_discrepancy"]) == 2
         assert doc["trials"] == 2
 
+    def test_short_ladder_writes_strict_json(self, tmp_path):
+        """A ladder of fewer than 4 rungs has no rate fit; its slope is
+        written as null, so the file parses with NaN rejected."""
+        cfg = _write_config(
+            tmp_path,
+            {
+                "command": "consistency",
+                "model": {"d": 2, "theta_star": [1.0, 0.0]},
+                "n_ladder": [100, 1000],
+                "T": 3,
+                "trials": 2,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["consistency", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "consistency.json").read_text(), parse_constant=_reject_constant)
+        assert doc["slope"] is None
+
     def test_verify_single_criterion(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["verify", "--config", _write_config(tmp_path, {
@@ -339,6 +361,25 @@ class TestMainErrors:
         })
         out = tmp_path / "o"
         assert main(["run-population", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: DegenerateWeights: ")
+        assert err.count("\n") == 1
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("form", ["ab", "mu"])
+    def test_collapsed_sample_weights_exit_3(self, tmp_path, capsys, form):
+        """A midpoint 12 units out puts p_hat at ~6e-18 while both weight
+        sums stay far above 1e-300; both forms report DegenerateWeights."""
+        cfg = _write_config(tmp_path, {
+            "command": "run-sample",
+            "model": {"d": 2, "theta_star": [1.0, 0.0]},
+            "init": {"a": [12.0, 0.0], "b": [2.0, 0.0]},
+            "n": 20,
+            "seed": 0,
+            "form": form,
+        })
+        out = tmp_path / "o"
+        assert main(["run-sample", "--config", cfg, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical error: DegenerateWeights: ")
         assert err.count("\n") == 1

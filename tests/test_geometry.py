@@ -83,18 +83,61 @@ class TestPlanarReduce:
     model = MixtureModel(3, [1.0, 2.0, 2.0])
 
     def test_basis_is_orthonormal(self):
+        """e1 and theta_perp / theta2 span the (b, theta_star) plane."""
         state = ABState([0.3, -0.2, 0.5], [0.1, 1.2, -0.4])
         c = planar_reduce(state, self.model)
+        assert c.theta2 == float(np.linalg.norm(c.theta_perp))
         assert np.linalg.norm(c.e1) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(c.e2) == pytest.approx(1.0, abs=1e-12)
-        assert abs(float(c.e1 @ c.e2)) <= 1e-12
+        assert np.linalg.norm(c.theta_perp / c.theta2) == pytest.approx(1.0, abs=1e-12)
+        assert abs(float(c.e1 @ c.theta_perp)) / c.theta2 <= 1e-12
 
     def test_reconstructs_theta_star(self):
         state = ABState([0.3, -0.2, 0.5], [0.1, 1.2, -0.4])
         c = planar_reduce(state, self.model)
         np.testing.assert_allclose(
-            c.theta1 * c.e1 + c.theta2 * c.e2, self.model.theta_star, atol=1e-12
+            c.theta1 * c.e1 + c.theta_perp, self.model.theta_star, atol=1e-12
         )
+
+    def test_collinear_branch(self):
+        state = ABState([0.0, 0.0, 0.0], 0.5 * self.model.theta_star)
+        c = planar_reduce(state, self.model)
+        assert c.theta2 == 0.0
+        np.testing.assert_array_equal(c.theta_perp, [0.0, 0.0, 0.0])
+        assert c.theta1 == pytest.approx(self.model.norm_theta, rel=1e-14)
+
+    def test_dimension_one_uses_zero_filler(self):
+        """In d = 1 the residual theta_perp is exactly the zero vector."""
+        model = MixtureModel(1, [2.0])
+        c = planar_reduce(ABState([0.1], [-0.5]), model)
+        assert c.theta2 == 0.0
+        np.testing.assert_array_equal(c.theta_perp, [0.0])
+        assert c.theta1 == pytest.approx(-2.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(min_value=1, max_value=8), seed=st.integers(0, 2**32 - 1))
+    def test_split_of_theta_star(self, d, seed):
+        """theta1 e1 + theta_perp rebuilds theta_star, theta_perp is orthogonal
+        to e1 with norm theta2 (exactly zero in d = 1, rounding-sized for a
+        collinear b), and theta1 is exactly zero for disjoint supports."""
+        rng = np.random.default_rng(seed)
+        model = MixtureModel(d, rng.uniform(0.1, 5.0) * rng.standard_normal(d))
+        scale = model.norm_theta
+        for b in (rng.standard_normal(d), rng.uniform(-3.0, 3.0) * model.theta_star):
+            c = planar_reduce(ABState(rng.standard_normal(d), b), model)
+            np.testing.assert_allclose(
+                c.theta1 * c.e1 + c.theta_perp, model.theta_star, rtol=0.0, atol=1e-12
+            )
+            assert abs(float(c.e1 @ c.theta_perp)) <= 1e-12 * scale
+            assert c.theta2 == float(np.linalg.norm(c.theta_perp))
+            if d == 1:
+                assert np.all(c.theta_perp == 0.0)
+        assert c.theta2 <= 1e-12 * scale  # the collinear b
+        if d > 1:
+            k = int(rng.integers(1, d))
+            b = np.concatenate([rng.standard_normal(k), np.zeros(d - k)])
+            theta = np.concatenate([np.zeros(k), rng.standard_normal(d - k)])
+            c = planar_reduce(ABState(np.zeros(d), b), MixtureModel(d, theta))
+            assert c.theta1 == 0.0
 
     def test_scalar_coordinates(self):
         state = ABState([0.3, -0.2, 0.5], [0.1, 1.2, -0.4])
@@ -103,21 +146,6 @@ class TestPlanarReduce:
         assert c.norm_b == pytest.approx(norm_b, rel=1e-15)
         assert c.x_a == pytest.approx(float(state.a @ state.b) / norm_b, rel=1e-14)
         assert c.theta2 >= 0.0
-
-    def test_collinear_branch(self):
-        state = ABState([0.0, 0.0, 0.0], 0.5 * self.model.theta_star)
-        c = planar_reduce(state, self.model)
-        assert c.theta2 == 0.0
-        assert c.theta1 == pytest.approx(self.model.norm_theta, rel=1e-14)
-        # the filler direction is still usable as a basis vector
-        assert abs(float(c.e1 @ c.e2)) <= 1e-12
-
-    def test_dimension_one_uses_zero_filler(self):
-        model = MixtureModel(1, [2.0])
-        c = planar_reduce(ABState([0.1], [-0.5]), model)
-        assert c.theta2 == 0.0
-        np.testing.assert_array_equal(c.e2, [0.0])
-        assert c.theta1 == pytest.approx(-2.0)
 
     def test_zero_b_rejected(self):
         with pytest.raises(DegenerateState):
@@ -158,7 +186,7 @@ class TestAngle:
         )
 
     def test_degenerate_coords_rejected(self):
-        coords = PlanarCoords(0.0, 0.0, 1.0, 0.0, [1.0, 0.0], [0.0, 1.0])
+        coords = PlanarCoords(0.0, 0.0, 1.0, 0.0, np.array([1.0, 0.0]), np.zeros(2))
         with pytest.raises(DegenerateState):
             angle_beta(coords)
 

@@ -115,6 +115,16 @@ class TestRun:
         assert np.all(np.diff(sins) <= 1e-12)
         assert sins[-1] <= 1e-9
 
+    def test_near_collinear_tail_reaches_rounding_level(self):
+        """Nothing freezes the direction of b once it is nearly collinear
+        with theta*: both the b-error and sin beta fall to rounding level,
+        not to a ~1e-12 plateau."""
+        traj = run(ABState([0.1, 0.0], [0.4, 0.1]), MODEL, StopRule(200, 0.0))
+        last = traj.records[-1]
+        assert np.linalg.norm(traj.final_state.b - MODEL.theta_star) <= 1e-13
+        assert last.dist_b <= 1e-13
+        assert last.sin_beta <= 1e-13
+
     def test_iterates_stay_in_initial_span(self):
         model = MixtureModel(4, [1.0, 0.5, 0.0, 0.0])
         b0 = np.array([0.2, 0.1, 0.7, 0.0])
