@@ -34,7 +34,7 @@ from .landscape import Classification, classify_stationary, grad_G
 from .population import (
     StopRule,
     Trajectory,
-    _beta_of,
+    _betas,
     _sign_target,
     a_priori_bounds,
     model2_step,
@@ -305,17 +305,10 @@ def _pre_floor(traj: Trajectory) -> Trajectory:
 
 
 def _series(traj: Trajectory, model: MixtureModel):
-    """norm_a, dist_b, |b|, sin(beta) for every record plus the final state."""
-    norm_a = [r.norm_a for r in traj.records]
-    dist_b = [r.dist_b for r in traj.records]
-    norm_b = [float(np.linalg.norm(r.state.b)) for r in traj.records]
-    sin_b = [r.sin_beta for r in traj.records]
-    final = traj.final_state
-    norm_a.append(float(np.linalg.norm(final.a)))
-    dist_b.append(float(np.linalg.norm(final.b - traj.target)))
-    norm_b.append(float(np.linalg.norm(final.b)))
-    sin_b.append(math.sin(_beta_of(final, model)))
-    return np.array(norm_a), np.array(dist_b), np.array(norm_b), np.array(sin_b)
+    """|a|, |b| and sin(beta) for every record plus the final state."""
+    b_rows = np.array([r.state.b for r in traj.records] + [traj.final_state.b])
+    norm_a = np.linalg.norm([r.state.a for r in traj.records] + [traj.final_state.a], axis=1)
+    return norm_a, np.linalg.norm(b_rows, axis=1), np.sin(_betas(b_rows, model))
 
 
 def criterion_5() -> CriterionResult:
@@ -328,7 +321,7 @@ def criterion_5() -> CriterionResult:
         margin_bad = 0
         worst_kappa = 0.0
         for init, model, traj in _contraction_runs():
-            norm_a, _, _, sin_b = _series(traj, model)
+            norm_a, _, sin_b = _series(traj, model)
             sins = sin_b[~np.isnan(sin_b)]
             if np.any(np.diff(sins) > 1e-12):
                 monotone_bad += 1
@@ -382,7 +375,7 @@ def criterion_7() -> CriterionResult:
         slack = 1e-12
         for init, model, traj in _contraction_runs():
             bounds = a_priori_bounds(init, model)
-            norm_a, _, norm_b, _ = _series(traj, model)
+            norm_a, norm_b, _ = _series(traj, model)
             if np.any(norm_a > bounds.c_u1 + slack) or np.any(norm_b > bounds.c_u3 + slack):
                 violations += 1
         return violations == 0, f"violations of the compactness bounds: {violations}/50"

@@ -44,6 +44,7 @@ Config sections (all optional; defaults in parentheses)::
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -585,7 +586,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; ``parse_args`` makes a fresh namespace per call."""
     parser = argparse.ArgumentParser(
         prog="emlab",
         description="Numerical laboratory for EM on symmetric two-Gaussian mixtures.",

@@ -146,12 +146,17 @@ def planar_reduce(state: ABState, model: MixtureModel) -> PlanarCoords:
         raise DegenerateState("b is the zero vector; no separation axis exists")
     e1 = state.b / norm_b
     x_a = float(np.dot(state.a, state.b)) / norm_b
-    theta1 = float(np.dot(model.theta_star, e1))
-    # theta2 is the norm of the residual, not sqrt(|theta*|^2 - theta1^2):
-    # the Pythagorean form loses half the mantissa near collinearity and
-    # floors sin(beta) at ~1e-8 instead of ~1e-16.
-    theta_perp = model.theta_star - theta1 * e1
-    return PlanarCoords(x_a, norm_b, theta1, float(np.linalg.norm(theta_perp)), e1, theta_perp)
+    theta1, theta_perp = _split_theta(model.theta_star, e1)
+    theta2 = float(np.linalg.norm(theta_perp))
+    return PlanarCoords(x_a, norm_b, float(theta1), theta2, e1, theta_perp)
+
+
+def _split_theta(theta_star: np.ndarray, e1: np.ndarray) -> tuple:
+    """theta_star = theta1 e1 + theta_perp along a unit vector e1, or row by
+    row along a stack of them.  |theta*| sin(beta) is ||theta_perp||, not
+    sqrt(|theta*|^2 - theta1^2), which floors sin(beta) at ~1e-8."""
+    theta1 = e1 @ theta_star
+    return theta1, theta_star - np.expand_dims(theta1, -1) * e1
 
 
 def angle_beta(coords: PlanarCoords) -> float:

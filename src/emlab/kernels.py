@@ -24,7 +24,8 @@ each lobe: T0 = int t phi(y -+ x_theta) dy, T1 = int t y phi(y -+ x_theta) dy,
     P = 1/2 + (T0+ + T0-)/4,   Gamma = (T1+ + T1-)/4,   S = (T0+ - T0-)/4,
 
 so P(x_a, 0, x_theta) == 0.5, S(x_a, x_b, +-0.0) == 0.0 and
-Gamma(0, x_b, 0) == F(x_b, 0) / 2 hold bit for bit.
+Gamma(0, x_b, 0) == F(x_b, 0) / 2 hold bit for bit.  At x_theta == +-0.0 the
+lobes are one (+-0.0 + nodes is the same array), so it is summed once.
 
 The kernel_* functions accept any finite real x_a / x_theta: the integrals
 are well defined there, and the planar reduction of the population step
@@ -81,12 +82,12 @@ def kernel_pgs(
     def at(n: int) -> tuple[float, float, float]:
         nodes, weights = _gh_rule(n)
         t0, t1 = [], []
-        for center in (x_theta, -x_theta):
+        for center in (x_theta,) if x_theta == 0.0 else (x_theta, -x_theta):
             y = center + nodes
             t = np.tanh((y - x_a) * x_b)
             t0.append(float(np.dot(weights, t)))
             t1.append(float(np.dot(weights, t * y)))
-        return 0.5 + 0.25 * (t0[0] + t0[1]), 0.25 * (t1[0] + t1[1]), 0.25 * (t0[0] - t0[1])
+        return 0.5 + 0.25 * (t0[0] + t0[-1]), 0.25 * (t1[0] + t1[-1]), 0.25 * (t0[0] - t0[-1])
 
     return _self_checked(at, f"(P, Gamma, S) quadrature at x_theta {x_theta!r}", spec)
 

@@ -12,9 +12,12 @@ reduction and one call of the kernel core (P, Gamma, S) = kernel_pgs:
 
 Model 1 is the a = 0 slice, where p = 1/2 and a+ = 0 are set exactly.
 ``model1_step`` is the free-means step taken from (0, theta), so
-``model2_step`` at a = 0 reproduces it bit-for-bit, and ``run``,
-``run_sample`` and ``run_model1`` share one iteration driver and one stop
-rule.  A step whose p leaves (1e-15, 1 - 1e-15) raises DegenerateWeights.
+``model2_step`` at a = 0 reproduces it bit-for-bit.  A step whose p leaves
+(1e-15, 1 - 1e-15) raises DegenerateWeights.  ``run``, ``run_sample`` and
+``run_model1`` share one stop rule and one iteration driver, which carries
+only the iterates and their p; the diagnostics records come afterwards from
+one array pass over the stacked iterates, so each iterate is reduced once
+(by its step) and a sample run not at all.
 
 Exactness guarantees (no thresholding involved):
   * <a, b> == 0.0 implies p = 0.5 and a+ = 0 exactly;
@@ -34,7 +37,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateWeights, DimensionMismatch
-from .geometry import ABState, MixtureModel, PlanarCoords, angle_beta, planar_reduce, state_distance
+from .geometry import ABState, MixtureModel, PlanarCoords, _split_theta, planar_reduce, state_distance
 from .kernels import kernel_pgs
 # not called here; kept importable because the benchmark tracer (perfbench/spans.py) wraps them
 from .kernels import kernel_f, kernel_gamma, kernel_p, kernel_s  # noqa: F401
@@ -161,38 +164,38 @@ def model1_step(theta, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC)
     return _step_core(ABState(np.zeros(model.dim), theta), model, spec)[0].b
 
 
-def _beta_of(state: ABState, model: MixtureModel) -> float:
-    """The angle between b and theta_star; nan when either is zero."""
-    if float(np.linalg.norm(state.b)) == 0.0 or model.norm_theta == 0.0:
-        return float("nan")
-    return angle_beta(planar_reduce(state, model))
+def _betas(b_rows: np.ndarray, model: MixtureModel) -> np.ndarray:
+    """The angle between each row of ``b_rows`` and theta_star, from the planar
+    reduction's split of theta_star; nan where the row or theta_star is zero."""
+    norm_b = np.linalg.norm(b_rows, axis=1)
+    defined = norm_b > 0.0
+    e1 = b_rows / np.where(defined, norm_b, 1.0)[:, None]
+    theta1, theta_perp = _split_theta(model.theta_star, e1)
+    beta = np.arctan2(np.linalg.norm(theta_perp, axis=1), theta1)
+    return np.where(defined & (model.norm_theta > 0.0), beta, np.nan)
 
 
-def _ratio(curr: float, prev: Optional[float]) -> Optional[float]:
-    if prev is None or not math.isfinite(prev) or prev <= 0.0 or not math.isfinite(curr):
-        return None
-    return curr / prev
+def _ratios(values: np.ndarray) -> list[Optional[float]]:
+    """values[t] / values[t-1] per row; None at t = 0 and unless the previous
+    value is finite and positive and the current one finite."""
+    prev, curr = values[:-1], values[1:]
+    valid = (prev > 0.0) & (prev < np.inf) & np.isfinite(curr)
+    ratio = np.divide(curr, prev, out=np.full_like(curr, np.nan), where=valid)
+    return [None] + [r if ok else None for r, ok in zip(ratio.tolist(), valid.tolist())]
 
 
-def _make_record(
-    t: int,
-    state: ABState,
-    p: float,
-    prev: Optional[PopStepRecord],
-    target: np.ndarray,
-    model: MixtureModel,
-) -> PopStepRecord:
-    norm_a = float(np.linalg.norm(state.a))
-    dist_b = float(np.linalg.norm(state.b - target))
-    beta = _beta_of(state, model)
-    if prev is None:
-        return PopStepRecord(t, state, p, beta, norm_a, dist_b)
-    return PopStepRecord(
-        t, state, p, beta, norm_a, dist_b,
-        ratio_a=_ratio(norm_a, prev.norm_a),
-        ratio_b=_ratio(dist_b, prev.dist_b),
-        ratio_sin=_ratio(math.sin(beta), prev.sin_beta),
-    )
+def _records(
+    states: list[ABState], ps: list[float], target: np.ndarray, model: MixtureModel
+) -> tuple[PopStepRecord, ...]:
+    """The diagnostics record of every iterate, from one pass over the stack;
+    row t is ``states[t]`` with its mass ``ps[t]``."""
+    b_rows = np.array([state.b for state in states])
+    norm_a = np.linalg.norm([state.a for state in states], axis=1)
+    dist_b = np.linalg.norm(b_rows - target, axis=1)
+    beta = _betas(b_rows, model)
+    rows = zip(states, ps, beta.tolist(), norm_a.tolist(), dist_b.tolist(),
+               _ratios(norm_a), _ratios(dist_b), _ratios(np.sin(beta)))
+    return tuple(PopStepRecord(t, *row) for t, row in enumerate(rows))
 
 
 def model2_step(
@@ -208,10 +211,8 @@ def model2_step(
         raise DimensionMismatch(
             f"state has dimension {state.dim}, model has {model.dim}"
         )
-    target = _sign_target(state.b, model)
     new_state, p = _step_core(state, model, spec)
-    record = _make_record(0, state, p, None, target, model)
-    return new_state, record
+    return new_state, _records([state], [p], _sign_target(state.b, model), model)[0]
 
 
 def _sign_target(b: np.ndarray, model: MixtureModel) -> np.ndarray:
@@ -230,29 +231,29 @@ def _drive(
     stop: StopRule,
     step: Callable[[ABState], tuple[ABState, float]],
     mass_at: Callable[[ABState], float],
-    record: Callable[[int, ABState, float, object], object],
-) -> tuple[list, ABState, bool]:
+) -> tuple[list[ABState], list[float], ABState, bool]:
     """The EM iteration loop behind ``run``, ``run_sample`` and ``run_model1``.
 
     ``step(state)`` returns the next state and the posterior mass p at
-    ``state``; ``record(t, state, p, previous entry or None)`` makes the
-    entry for every iterate a step was taken from.  A converged run's last
-    state gets no entry (it is the returned final state); a run that
-    exhausts the budget records its last iterate at t = max_iters with
-    p = ``mass_at(state)``.  Returns the entries, the final state and
-    whether the stop rule's step-size test ended the run.
+    ``state``.  Returns the iterates a step was taken from, their p, the
+    final state and whether the stop rule's step-size test ended the run; a
+    run that exhausts the budget also lists its last iterate, with p =
+    ``mass_at(state)``.
     """
-    entries: list = []
+    states: list[ABState] = []
+    ps: list[float] = []
     state = init
-    for t in range(stop.max_iters):
+    for _ in range(stop.max_iters):
         new_state, p = step(state)
-        entries.append(record(t, state, p, entries[-1] if entries else None))
+        states.append(state)
+        ps.append(p)
         moved = state_distance(new_state, state)
         state = new_state
         if stop.converged(moved):
-            return entries, state, True
-    entries.append(record(stop.max_iters, state, mass_at(state), entries[-1]))
-    return entries, state, False
+            return states, ps, state, True
+    states.append(state)
+    ps.append(mass_at(state))
+    return states, ps, state, False
 
 
 def _trajectory(
@@ -262,14 +263,10 @@ def _trajectory(
     step: Callable[[ABState], tuple[ABState, float]],
     mass_at: Callable[[ABState], float],
 ) -> Trajectory:
-    """``_drive`` with a diagnostics record for every visited iterate."""
+    """``_drive``, then a diagnostics record for every visited iterate."""
     target = _sign_target(init.b, model)
-
-    def record(t: int, state: ABState, p: float, prev: Optional[PopStepRecord]) -> PopStepRecord:
-        return _make_record(t, state, p, prev, target, model)
-
-    records, final_state, converged = _drive(init, stop, step, mass_at, record)
-    return Trajectory(tuple(records), final_state, converged, target)
+    states, ps, final_state, converged = _drive(init, stop, step, mass_at)
+    return Trajectory(_records(states, ps, target, model), final_state, converged, target)
 
 
 def run(
@@ -310,14 +307,13 @@ def run_model1(
     theta = np.asarray(theta0, dtype=float)
     if theta.shape != (model.dim,):
         raise ValueError(f"theta0 must have shape ({model.dim},), got {theta.shape}")
-    iterates, final_state, converged = _drive(
+    states, _, final_state, converged = _drive(
         ABState(np.zeros(model.dim), theta),
         stop,
         lambda state: _step_core(state, model, spec),
         lambda state: 0.5,  # exact on the a = 0 slice, and unused here
-        lambda t, state, p, prev: state.b,
     )
-    return np.array((iterates + [final_state.b]) if converged else iterates)
+    return np.array([state.b for state in states] + ([final_state.b] if converged else []))
 
 
 class APrioriBounds(NamedTuple):

@@ -165,6 +165,19 @@ class TestMainKernels:
         second = (tmp_path / "two" / "kernels.csv").read_bytes()
         assert first == second
 
+    def test_seed_flag_does_not_carry_over_to_the_next_call(self, tmp_path):
+        """The parser is built once per process; a --seed given to one call
+        must not reach the next call's config."""
+        cfg = _write_config(tmp_path, self.config)
+        argv = ["kernels", "--config", cfg, "--out"]
+        assert main(argv + [str(tmp_path / "one"), "--seed", "5"]) == 0
+        assert main(argv + [str(tmp_path / "two")]) == 0
+        seeds = []
+        for name in ("one", "two"):
+            config_line = (tmp_path / name / "kernels.csv").read_text().splitlines()[3]
+            seeds.append(json.loads(config_line.removeprefix("# config: "))["seed"])
+        assert seeds == [5, 0]
+
 
 class TestMainRunners:
     def test_symmetric_population_run(self, tmp_path):

@@ -28,7 +28,14 @@ from emlab import (
     kernel_s,
 )
 from emlab.kernels import SQRT_2_OVER_PI, tabulate, weight_1d
-from emlab.quadrature import adaptive_simpson, mixture_pdf_1d, std_normal_cdf, std_normal_pdf
+from emlab.quadrature import (
+    DEFAULT_SPEC,
+    _gh_rule,
+    adaptive_simpson,
+    mixture_pdf_1d,
+    std_normal_cdf,
+    std_normal_pdf,
+)
 
 coord = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 
@@ -104,6 +111,24 @@ class TestCore:
     def test_S_is_exactly_zero_on_the_orthogonal_slice(self, x_t):
         for x_a, x_b in ((0.0, 1.0), (0.5, 2.0), (-1.3, 0.3)):
             assert kernel_pgs(x_a, x_b, x_t)[2] == 0.0
+
+    @pytest.mark.parametrize("x_t", [0.0, -0.0])
+    def test_orthogonal_slice_equals_the_two_lobe_sums_bitwise(self, x_t):
+        """At x_theta == +-0.0 the core sums one lobe and uses it for both;
+        that is the same float as summing both lobes of the 2N rule."""
+        y_nodes, weights = _gh_rule(2 * DEFAULT_SPEC.nodes_per_lobe)
+        for x_a, x_b in ((0.0, 1.0), (0.5, 2.0), (-1.3, 0.3), (2.2, 0.05)):
+            t0, t1 = [], []
+            for center in (x_t, -x_t):
+                y = center + y_nodes
+                t = np.tanh((y - x_a) * x_b)
+                t0.append(float(np.dot(weights, t)))
+                t1.append(float(np.dot(weights, t * y)))
+            expected = (
+                0.5 + 0.25 * (t0[0] + t0[1]), 0.25 * (t1[0] + t1[1]), 0.25 * (t0[0] - t0[1])
+            )
+            got = kernel_pgs(x_a, x_b, x_t)
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
 
     def test_P_is_exactly_half_at_flat_weight(self):
         for x_a, x_t in ((0.0, 0.0), (0.9, 1.4), (-2.0, -0.5)):

@@ -14,12 +14,17 @@ from emlab import (
     PopStepRecord,
     StopRule,
     a_priori_bounds,
+    angle_beta,
     model1_step,
     model2_step,
+    planar_reduce,
     posterior_mass,
     run,
     run_model1,
+    run_sample,
+    sample_mixture,
 )
+from emlab import population
 
 MODEL = MixtureModel(2, [1.0, 0.3])
 
@@ -159,6 +164,87 @@ class TestRun:
         assert traj.series("norm_a").shape == (4,)
         assert traj.records[0].ratio_a is None  # no ratio at t = 0
         assert traj.records[1].ratio_a is not None
+
+
+def _per_record_ratio(curr, prev):
+    """The ratio rule stated record by record: None unless both values are
+    finite and the previous one is positive."""
+    if not (math.isfinite(prev) and prev > 0.0 and math.isfinite(curr)):
+        return None
+    return curr / prev
+
+
+class TestDiagnostics:
+    """The records come from one array pass over the stacked iterates; each
+    must match what the record's own state gives."""
+
+    @staticmethod
+    def _check(traj, model):
+        for r in traj.records:
+            assert abs(r.norm_a - float(np.linalg.norm(r.state.a))) <= 1e-15
+            assert abs(r.dist_b - float(np.linalg.norm(r.state.b - traj.target))) <= 1e-15
+            assert abs(r.beta - angle_beta(planar_reduce(r.state, model))) <= 1e-15
+        first = traj.records[0]
+        assert (first.ratio_a, first.ratio_b, first.ratio_sin) == (None, None, None)
+        for prev, r in zip(traj.records, traj.records[1:]):
+            for got, curr, before in (
+                (r.ratio_a, r.norm_a, prev.norm_a),
+                (r.ratio_b, r.dist_b, prev.dist_b),
+                (r.ratio_sin, r.sin_beta, prev.sin_beta),
+            ):
+                expected = _per_record_ratio(curr, before)
+                assert (got is None) == (expected is None)
+                if expected is not None:
+                    assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_records_match_their_states(self, d):
+        # |theta*| = 1.5 and |b_0| = 1 keep x_b inside the range where the
+        # default 512/1024-node rule passes its self-check; larger x_b fails it
+        rng = np.random.default_rng(100 + d)
+        direction = rng.normal(size=(2, d))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        model = MixtureModel(d, 1.5 * direction[0])
+        init = ABState(0.3 * rng.normal(size=d), direction[1])
+        self._check(run(init, model, StopRule(25, 1e-12)), model)
+        data = sample_mixture(model, 400, seed=d)
+        for form in ("ab", "mu"):
+            self._check(run_sample(init, data, StopRule(25, 1e-12), form), model)
+
+    def test_zero_theta_star_has_no_angle(self):
+        model = MixtureModel(2, [0.0, 0.0])
+        traj = run(ABState([0.1, 0.0], [0.4, 0.3]), model, StopRule(10, 0.0))
+        assert all(math.isnan(r.beta) and math.isnan(r.sin_beta) for r in traj.records)
+        assert all(r.ratio_sin is None for r in traj.records)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_separation_rows_have_no_angle(self):
+        traj = run(ABState([0.4, 0.1], [0.0, 0.0]), MODEL)
+        assert traj.converged and len(traj.records) == 2
+        assert all(math.isnan(r.beta) for r in traj.records)
+        assert all(r.ratio_sin is None for r in traj.records)
+
+    @pytest.mark.parametrize("stop", [StopRule(200, 1e-10), StopRule(6, 0.0)])
+    def test_each_iterate_is_reduced_once(self, monkeypatch, stop):
+        """One reduction per step, plus the mass of the last iterate when the
+        budget runs out; the records reduce nothing and a sample run never
+        reduces."""
+        calls = []
+
+        def counting(state, model):
+            calls.append(state)
+            return planar_reduce(state, model)
+
+        monkeypatch.setattr(population, "planar_reduce", counting)
+        traj = run(ABState([0.1, 0.0], [0.4, 0.1]), MODEL, stop)
+        steps = len(traj.records) if traj.converged else len(traj.records) - 1
+        assert traj.converged == (stop.step_tol > 0.0)
+        assert len(calls) == steps + (0 if traj.converged else 1)
+        calls.clear()
+        data = sample_mixture(MODEL, 200, seed=3)
+        for form in ("ab", "mu"):
+            run_sample(ABState([0.1, 0.0], [0.4, 0.1]), data, stop, form)
+        assert calls == []
 
 
 class TestRunModel1:
