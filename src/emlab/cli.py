@@ -6,39 +6,43 @@ Usage::
     emlab kernels --out tables/
     emlab verify
 
-Every subcommand accepts ``--config PATH`` (JSON), ``--out DIR`` and
-``--seed N`` (overrides the config seed; not for ``verify``).  Unknown config
-fields are rejected with the exact field path, so typos cannot silently fall
-back to defaults.  Exit status: 0 on success, 1 when ``verify`` has a
-failing criterion, 2 on a config error, 3 on a numerical error (a quadrature
-rule failing its self-check, degenerate posterior weights or a degenerate
-state), reported as one ``numerical error: ...`` line on stderr.
+Every subcommand accepts ``--config PATH`` (JSON) and ``--out DIR``.  Each
+command reads only the top-level keys ``_KEYS`` lists for it (bracketed
+below); any other key or unknown field is a config error naming its path.
+``--seed N`` overrides the seed, so only run-sample, coupled and consistency
+take it.  Exit status: 0 on success, 1 when ``verify`` has a failing
+criterion, 2 on a config error, 3 on a numerical error (a quadrature rule
+failing its self-check, degenerate posterior weights or a degenerate state),
+reported as one ``numerical error: ...`` line on stderr.
 
 Reproducibility contract: with an identical config (seed included) every
 output file is byte-identical across runs.  Floats are serialized with
 ``repr`` (shortest round-trip form), JSON keys are sorted, and each artifact
 embeds the artifact version, the sha256 hash of the fully resolved config,
-the quadrature spec, and the resolved config itself.
+and the resolved config itself.
 
 Config sections (all optional; defaults in parentheses)::
 
-    command      name matching the subcommand, as a cross-check
-    model        {"d", "theta_star" | "mu1"+"mu2", "sigma"}  (d=2, [1, 0])
-                 mu1/mu2 must be centered (mu1 = -mu2); a sigma covariance
-                 is consumed at resolve time by whitening theta_star
-    quadrature   {"nodes_per_lobe", "abs_tol"}         (512, 1e-10)
-    seed         integer seed for anything sampled  (0)
-    family       "free" | "symmetric"               (run-population)
-    init         {"a", "b"} or {"theta"}            (a=0, b=theta*/2)
-    stop         {"max_iters", "step_tol"}          (10000, 1e-10; 0 = no early stop)
-    n            sample size                        (run-sample, coupled)
-    T            step budget                        (coupled, consistency)
-    trials, n_ladder                                (consistency)
-    form         "ab" | "mu"                        (run-sample)
-    write_data   also dump the sampled dataset      (run-sample)
-    slice        {"a_lo","a_hi","a_steps","b_lo","b_hi","b_steps"}
-    grid         {"x_a","x_b","x_theta"} axes, each {"lo","hi","count"}
-    criteria     criterion numbers (verify: no model, quadrature or seed)
+    command      name matching the subcommand, as a cross-check  [all]
+    model        {"d", "theta_star" | "mu1"+"mu2", "sigma"}  (d=2, [1, 0]);
+                 mu1/mu2 centered (mu1 = -mu2); a sigma covariance is
+                 consumed by whitening theta_star  [all but kernels, verify]
+    quadrature   {"nodes_per_lobe", "abs_tol"}  (512, 1e-10)
+                 [run-population, coupled, landscape, kernels, consistency]
+    seed         seed of the data draw  (0)  [run-sample, coupled, consistency]
+    family       "free" | "symmetric"               [run-population]
+    init         {"a", "b"} or {"theta"}  (a=0, b=theta*/2)
+                 [run-population, run-sample, coupled, consistency]
+    stop         {"max_iters", "step_tol"}  (10000, 1e-10; 0 = no early stop)
+                 [run-population, run-sample]
+    n            sample size                        [run-sample, coupled]
+    T            step budget                        [coupled, consistency]
+    trials, n_ladder                                [consistency]
+    form         "ab" | "mu"                        [run-sample]
+    write_data   also dump the sampled dataset      [run-sample]
+    slice        {"a_lo","a_hi","a_steps","b_lo","b_hi","b_steps"} [landscape]
+    grid         {"x_a","x_b","x_theta"}, each {"lo","hi","count"}  [kernels]
+    criteria     criterion numbers                  [verify]
 """
 
 from __future__ import annotations
@@ -71,14 +75,13 @@ from .sampling import run_sample, sample_mixture
 
 _DEFAULT_LADDER = (1_000, 10_000, 100_000, 1_000_000)
 
-_COMMON_KEYS = ("command", "model", "quadrature", "seed")
-_KEYS = {
-    "run-population": _COMMON_KEYS + ("family", "init", "stop"),
-    "run-sample": _COMMON_KEYS + ("init", "stop", "n", "form", "write_data"),
-    "coupled": _COMMON_KEYS + ("init", "n", "T"),
-    "landscape": _COMMON_KEYS + ("slice",),
-    "kernels": _COMMON_KEYS + ("grid",),
-    "consistency": _COMMON_KEYS + ("init", "n_ladder", "T", "trials"),
+_KEYS = {  # the top-level keys each command reads; any other key is a config error
+    "run-population": ("command", "model", "quadrature", "family", "init", "stop"),
+    "run-sample": ("command", "model", "seed", "init", "stop", "n", "form", "write_data"),
+    "coupled": ("command", "model", "quadrature", "seed", "init", "n", "T"),
+    "landscape": ("command", "model", "quadrature", "slice"),
+    "kernels": ("command", "quadrature", "grid"),
+    "consistency": ("command", "model", "quadrature", "seed", "init", "n_ladder", "T", "trials"),
     # each criterion pins its own models, quadrature and seeds
     "verify": ("command", "criteria"),
 }
@@ -188,7 +191,7 @@ def _resolve_model(raw):
             theta = list(whiten(np.array(theta), np.array(rows)))
         except NotPositiveDefinite as exc:
             raise ConfigError("model.sigma", str(exc)) from None
-    resolved = {"d": d, "theta_star": [float(v) for v in theta], "sigma": None}
+    resolved = {"d": d, "theta_star": [float(v) for v in theta]}
     return resolved, MixtureModel(d, theta)
 
 
@@ -240,7 +243,7 @@ def _resolve_axis(section, key, path):
 
 
 def resolve_config(raw, command, seed_override=None):
-    """Validate ``raw`` against the schema of ``command`` and fill defaults.
+    """Validate ``raw`` against the keys ``_KEYS[command]`` and fill defaults.
 
     Returns the fully resolved config dict (JSON-serializable, deterministic
     key set) whose canonical serialization is what gets hashed.
@@ -248,37 +251,39 @@ def resolve_config(raw, command, seed_override=None):
     raw = _expect_mapping(raw, "<config>")
     if seed_override is not None:
         raw = dict(raw, seed=seed_override)
-    _reject_unknown(raw, _KEYS[command], "")
+    keys = _KEYS[command]
+    _reject_unknown(raw, keys, "")
     declared = raw.get("command", command)
     if declared != command:
         raise ConfigError("command", f"config is for {declared!r}, invoked as {command!r}")
     resolved = {"command": command}
-    resolved["model"], model = _resolve_model(raw)
-    resolved["quadrature"], spec = _resolve_quadrature(raw)
-    resolved["seed"] = _int_field(raw, "seed", "", 0, minimum=0)
-
-    family = "free"
-    if command == "run-population":
-        family = _choice_field(raw, "family", "", "free", ("free", "symmetric"))
-        resolved["family"] = family
-    init = None
-    if command in ("run-population", "run-sample", "coupled", "consistency"):
-        resolved["init"], init = _resolve_init(raw, model, family)
-    stop = None
-    if command in ("run-population", "run-sample"):
+    model = spec = init = stop = None
+    if "model" in keys:
+        resolved["model"], model = _resolve_model(raw)
+    if "quadrature" in keys:
+        resolved["quadrature"], spec = _resolve_quadrature(raw)
+    if "seed" in keys:
+        resolved["seed"] = _int_field(raw, "seed", "", 0, minimum=0)
+    if "family" in keys:
+        resolved["family"] = _choice_field(raw, "family", "", "free", ("free", "symmetric"))
+    if "init" in keys:
+        resolved["init"], init = _resolve_init(raw, model, resolved.get("family", "free"))
+    if "stop" in keys:
         resolved["stop"], stop = _resolve_stop(raw)
-    if command in ("run-sample", "coupled"):
+    if "n" in keys:
         resolved["n"] = _int_field(raw, "n", "", 10_000, minimum=1)
-    if command in ("coupled", "consistency"):
+    if "T" in keys:
         resolved["T"] = _int_field(raw, "T", "", 50, minimum=1)
-    if command == "run-sample":
+    if "form" in keys:
         resolved["form"] = _choice_field(raw, "form", "", "ab", ("ab", "mu"))
+    if "write_data" in keys:
         write_data = raw.get("write_data", False)
         if not isinstance(write_data, bool):
             raise ConfigError("write_data", f"expected true/false, got {write_data!r}")
         resolved["write_data"] = write_data
-    if command == "consistency":
+    if "trials" in keys:
         resolved["trials"] = _int_field(raw, "trials", "", 20, minimum=1)
+    if "n_ladder" in keys:
         ladder = raw.get("n_ladder", list(_DEFAULT_LADDER))
         if not isinstance(ladder, list) or len(ladder) < 2:
             raise ConfigError("n_ladder", "expected a list of at least two sample sizes")
@@ -289,7 +294,7 @@ def resolve_config(raw, command, seed_override=None):
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ConfigError("n_ladder", f"must be strictly increasing, got {sizes}")
         resolved["n_ladder"] = sizes
-    if command == "landscape":
+    if "slice" in keys:
         section = _expect_mapping(raw.get("slice", {}), "slice")
         _reject_unknown(
             section, ("a_lo", "a_hi", "a_steps", "b_lo", "b_hi", "b_steps"), "slice"
@@ -307,13 +312,13 @@ def resolve_config(raw, command, seed_override=None):
         if sl["b_hi"] < sl["b_lo"]:
             raise ConfigError("slice.b_hi", "must be >= b_lo")
         resolved["slice"] = sl
-    if command == "kernels":
+    if "grid" in keys:
         section = _expect_mapping(raw.get("grid", {}), "grid")
         _reject_unknown(section, ("x_a", "x_b", "x_theta"), "grid")
         resolved["grid"] = {
             key: _resolve_axis(section, key, "grid") for key in ("x_a", "x_b", "x_theta")
         }
-    if command == "verify":
+    if "criteria" in keys:
         criteria = raw.get("criteria", list(range(1, 14)))
         if not isinstance(criteria, list) or not criteria:
             raise ConfigError("criteria", "expected a non-empty list of criterion numbers")
@@ -334,11 +339,7 @@ def config_hash(resolved) -> str:
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)  # str of a float is its repr
 
 
 class _Sink:
@@ -352,11 +353,9 @@ class _Sink:
         self.written = []
 
     def _preamble(self):
-        quad = self.resolved["quadrature"]
         return [
             f"# artifact_version: {__version__}",
             f"# config_hash: {self.hash}",
-            "# quadrature: " + " ".join(f"{k}={_cell(v)}" for k, v in quad.items()),
             "# config: " + json.dumps(self.resolved, sort_keys=True, separators=(",", ":")),
         ]
 
@@ -374,7 +373,6 @@ class _Sink:
         document = {
             "artifact_version": __version__,
             "config_hash": self.hash,
-            "quadrature": self.resolved["quadrature"],
             "config": self.resolved,
         }
         document.update(payload)

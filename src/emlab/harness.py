@@ -40,10 +40,6 @@ class ConsistencyResult:
     trials: int
     seeds: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.n_ladder, self.n_ladder[1:])):
-            raise ValueError(f"n_ladder must be strictly increasing, got {self.n_ladder}")
-
 
 class ContractionEstimate(NamedTuple):
     kappa_a: float
@@ -96,6 +92,10 @@ def consistency_ladder(
     common-random-numbers coupling along the ladder.
     """
     n_ladder = tuple(int(n) for n in n_ladder)
+    if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
+        raise ValueError(f"n_ladder must be strictly increasing, got {n_ladder}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     stop = StopRule(max_iters=T, step_tol=0.0)
     pop_traj = run(init, model, stop, spec)
     trial_seeds = tuple(range(trials))

@@ -46,6 +46,7 @@ the Mills-ratio bound phi(x)/(1 - Phi(x)) < x + sqrt(2/pi).
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -158,13 +159,10 @@ def tabulate(
     Returns rows (x_a, x_b, x_theta, P, Gamma, S, F, K) in row-major order,
     matching the CSV layout of the command-line tabulator.
     """
-    rows = []
-    for x_a in values_a:
-        for x_b in values_b:
-            for x_theta in values_theta:
-                rows.append(
-                    (float(x_a), float(x_b), float(x_theta))
-                    + kernel_pgs(x_a, x_b, x_theta, spec)
-                    + (kernel_f(x_b, x_theta, spec), kernel_k(x_a, x_b, spec))
-                )
-    return rows
+    axes = (map(float, values) for values in (values_a, values_b, values_theta))
+    return [
+        (x_a, x_b, x_theta)
+        + kernel_pgs(x_a, x_b, x_theta, spec)
+        + (kernel_f(x_b, x_theta, spec), kernel_k(x_a, x_b, spec))
+        for x_a, x_b, x_theta in itertools.product(*axes)
+    ]

@@ -88,7 +88,8 @@ def sample_mixture(model: MixtureModel, n: int, seed) -> Dataset:
     rng = np.random.default_rng(seed)
     zeta = rng.integers(0, 2, size=n) * 2 - 1
     omega = rng.standard_normal((n, model.dim))
-    return Dataset(zeta[:, None] * model.theta_star + omega, seed, model)
+    omega += zeta[:, None] * model.theta_star  # in place: saves one n x d temporary
+    return Dataset(omega, seed, model)
 
 
 def _posterior(data: Dataset, state: ABState) -> tuple[np.ndarray, np.ndarray, float]:

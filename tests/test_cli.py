@@ -22,18 +22,24 @@ def _reject_constant(name):
 
 class TestResolveConfig:
     def test_kernels_defaults(self):
+        """kernels resolves only the sections it reads: no model, no seed."""
         resolved, model, spec, init, stop = resolve_config({}, "kernels")
-        assert resolved["model"] == {"d": 2, "theta_star": [1.0, 0.0], "sigma": None}
-        assert resolved["seed"] == 0
+        assert set(resolved) == {"command", "quadrature", "grid"}
         assert resolved["quadrature"] == {"nodes_per_lobe": 512, "abs_tol": 1e-10}
         for axis in resolved["grid"].values():
             assert axis == {"lo": 0.0, "hi": 3.0, "count": 20}
-        assert init is None and stop is None
+        assert model is None and init is None and stop is None
         assert spec.nodes_per_lobe == 512
+
+    def test_model_and_seed_defaults(self):
+        resolved, model, *_ = resolve_config({}, "coupled")
+        assert resolved["model"] == {"d": 2, "theta_star": [1.0, 0.0]}
+        assert resolved["seed"] == 0
+        assert model.dim == 2
 
     def test_model_from_mean_pair(self):
         resolved, model, *_ = resolve_config(
-            {"model": {"mu1": [-1.0, -0.5], "mu2": [1.0, 0.5]}}, "kernels"
+            {"model": {"mu1": [-1.0, -0.5], "mu2": [1.0, 0.5]}}, "landscape"
         )
         assert resolved["model"]["theta_star"] == [1.0, 0.5]
         assert model.dim == 2
@@ -41,20 +47,20 @@ class TestResolveConfig:
     def test_sigma_is_consumed_by_whitening(self):
         resolved, model, *_ = resolve_config(
             {"model": {"theta_star": [2.0, 0.0], "sigma": [[4.0, 0.0], [0.0, 4.0]]}},
-            "kernels",
+            "landscape",
         )
         np.testing.assert_allclose(resolved["model"]["theta_star"], [1.0, 0.0], atol=1e-12)
-        assert resolved["model"]["sigma"] is None
+        assert set(resolved["model"]) == {"d", "theta_star"}
 
     def test_seed_override(self):
-        base, *_ = resolve_config({}, "kernels")
-        bumped, *_ = resolve_config({}, "kernels", seed_override=7)
+        base, *_ = resolve_config({}, "run-sample")
+        bumped, *_ = resolve_config({}, "run-sample", seed_override=7)
         assert bumped["seed"] == 7
         assert config_hash(base) != config_hash(bumped)
 
     def test_hash_is_deterministic(self):
-        one, *_ = resolve_config({"seed": 3}, "kernels")
-        two, *_ = resolve_config({"seed": 3}, "kernels")
+        one, *_ = resolve_config({"seed": 3}, "run-sample")
+        two, *_ = resolve_config({"seed": 3}, "run-sample")
         assert config_hash(one) == config_hash(two)
 
     def test_free_init_defaults_to_half_separation(self):
@@ -68,7 +74,7 @@ class TestResolveConfig:
 
 
 class TestConfigErrors:
-    def field(self, payload, command="kernels"):
+    def field(self, payload, command="landscape"):
         with pytest.raises(ConfigError) as err:
             resolve_config(payload, command)
         return err.value.field
@@ -120,12 +126,12 @@ class TestConfigErrors:
     def test_verify_config_hash_unchanged(self):
         resolved, *_ = resolve_config({"command": "verify", "criteria": [11]}, "verify")
         assert config_hash(resolved) == (
-            "e87853a8cec790a571d1d2fe84aae4abb883b7b5e13287b385208e7ecf79000b"
+            "a876717e78dec822fd15052a894a2533d9c23197b49c752315eceaa5e8caf77f"
         )
 
     def test_reversed_axis(self):
         payload = {"grid": {"x_a": {"lo": 2.0, "hi": 1.0}}}
-        assert self.field(payload) == "grid.x_a.hi"
+        assert self.field(payload, command="kernels") == "grid.x_a.hi"
 
     def test_bad_criterion_number(self):
         assert self.field({"criteria": [1, 14]}, command="verify") == "criteria[1]"
@@ -133,6 +139,81 @@ class TestConfigErrors:
     def test_decreasing_ladder(self):
         payload = {"n_ladder": [1000, 100]}
         assert self.field(payload, command="consistency") == "n_ladder"
+
+
+# which of seed, model and quadrature each command reads; the rest are errors
+_READS = {
+    "run-population": ("model", "quadrature"),
+    "run-sample": ("model", "seed"),
+    "coupled": ("model", "quadrature", "seed"),
+    "landscape": ("model", "quadrature"),
+    "kernels": ("quadrature",),
+    "consistency": ("model", "quadrature", "seed"),
+    "verify": (),
+}
+_START = {"a": [0.1, 0.0], "b": [0.4, 0.1]}
+_ONE = {"lo": 1.0, "hi": 1.0, "count": 1}
+# a small config per command, and a valid non-default value per key; the
+# abs_tol of 1e-300 fails the self-check wherever x_b > 0
+_SMALL = {
+    "run-population": {"init": _START, "stop": {"max_iters": 3}},
+    "run-sample": {"init": _START, "n": 200, "stop": {"max_iters": 3}},
+    "coupled": {"init": _START, "n": 200, "T": 2},
+    "landscape": {"slice": {"a_lo": 0.2, "a_hi": 0.2, "a_steps": 1,
+                            "b_lo": 0.8, "b_hi": 0.8, "b_steps": 1}},
+    "kernels": {"grid": {"x_a": dict(_ONE, lo=0.5, hi=0.5), "x_b": _ONE, "x_theta": _ONE}},
+    "consistency": {"init": _START, "n_ladder": [100, 200], "T": 2, "trials": 1},
+    "verify": {"criteria": [11]},
+}
+_CHANGED = {"seed": 1, "model": {"theta_star": [1.5, 0.0]}, "quadrature": {"abs_tol": 1e-300}}
+
+
+def _data(out):
+    """What a run wrote, without its provenance: the non-# lines of each CSV
+    and every JSON field but config and config_hash."""
+    data = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            doc = json.loads(path.read_text())
+            del doc["config"], doc["config_hash"]
+            data[path.name] = doc
+        else:
+            data[path.name] = [ln for ln in path.read_text().splitlines() if ln[:1] != "#"]
+    return data
+
+
+class TestSchema:
+    """Each command takes exactly the seed, model and quadrature it reads,
+    and each one it takes changes what it writes."""
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, reads in _READS.items()
+        for key in ("seed", "model", "quadrature") if key not in reads
+    ])
+    def test_unread_key_is_a_config_error(self, command, key):
+        with pytest.raises(ConfigError) as err:
+            resolve_config(dict(_SMALL[command], **{key: _CHANGED[key]}), command)
+        assert err.value.field == key
+
+    @pytest.mark.parametrize("command", [c for c, reads in _READS.items() if "seed" not in reads])
+    def test_seed_flag_exits_2(self, tmp_path, command, capsys):
+        cfg = _write_config(tmp_path, _SMALL[command])
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
+        assert "config error: seed: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, reads in _READS.items() for key in reads
+    ])
+    def test_read_key_has_an_effect(self, tmp_path, command, key):
+        runs = []
+        for name, config in (("base", _SMALL[command]),
+                             ("changed", dict(_SMALL[command], **{key: _CHANGED[key]}))):
+            out = tmp_path / name
+            status = main([command, "--config", _write_config(tmp_path, config, f"{name}.json"),
+                           "--out", str(out)])
+            runs.append((status, _data(out)))
+        assert runs[0][0] == 0
+        assert runs[0] != runs[1]
 
 
 class TestMainKernels:
@@ -152,10 +233,11 @@ class TestMainKernels:
         lines = (out / "kernels.csv").read_text().splitlines()
         assert lines[0].startswith("# artifact_version: ")
         assert lines[1].startswith("# config_hash: ")
-        assert lines[2].startswith("# quadrature: nodes_per_lobe=512")
-        assert lines[3].startswith("# config: {")
-        assert lines[4] == "x_a,x_b,x_theta,P,Gamma,S,F,K"
-        assert len(lines) == 4 + 1 + 4  # preamble, header, 2*1*2 grid rows
+        assert lines[2].startswith("# config: {")
+        config = json.loads(lines[2].removeprefix("# config: "))
+        assert config["quadrature"] == {"abs_tol": 1e-10, "nodes_per_lobe": 512}
+        assert lines[3] == "x_a,x_b,x_theta,P,Gamma,S,F,K"
+        assert len(lines) == 3 + 1 + 4  # preamble, header, 2*1*2 grid rows
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = _write_config(tmp_path, self.config)
@@ -167,14 +249,17 @@ class TestMainKernels:
 
     def test_seed_flag_does_not_carry_over_to_the_next_call(self, tmp_path):
         """The parser is built once per process; a --seed given to one call
-        must not reach the next call's config."""
-        cfg = _write_config(tmp_path, self.config)
-        argv = ["kernels", "--config", cfg, "--out"]
+        must not reach the next call's config.  kernels takes no seed, so it
+        would exit 2 if the flag carried over."""
+        cfg = _write_config(tmp_path, {"n": 50, "stop": {"max_iters": 3}})
+        argv = ["run-sample", "--config", cfg, "--out"]
         assert main(argv + [str(tmp_path / "one"), "--seed", "5"]) == 0
+        kernels_cfg = _write_config(tmp_path, self.config, "kernels.json")
+        assert main(["kernels", "--config", kernels_cfg, "--out", str(tmp_path / "k")]) == 0
         assert main(argv + [str(tmp_path / "two")]) == 0
         seeds = []
         for name in ("one", "two"):
-            config_line = (tmp_path / name / "kernels.csv").read_text().splitlines()[3]
+            config_line = (tmp_path / name / "trajectory.csv").read_text().splitlines()[2]
             seeds.append(json.loads(config_line.removeprefix("# config: "))["seed"])
         assert seeds == [5, 0]
 
@@ -195,7 +280,7 @@ class TestMainRunners:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is True
         assert abs(summary["final"][0] - 1.0) < 1e-6
-        header = (out / "trajectory.csv").read_text().splitlines()[4]
+        header = (out / "trajectory.csv").read_text().splitlines()[3]
         assert header == "t,theta_0,dist"
 
     def test_symmetric_run_out_of_budget(self, tmp_path):
@@ -222,7 +307,7 @@ class TestMainRunners:
         })
         out = tmp_path / "out"
         assert main(["run-population", "--config", cfg, "--out", str(out)]) == 0
-        assert len((out / "trajectory.csv").read_text().splitlines()[5:]) == 51
+        assert len((out / "trajectory.csv").read_text().splitlines()[4:]) == 51
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is False
         assert summary["steps"] == 50
@@ -275,7 +360,7 @@ class TestMainRunners:
         )
         out = tmp_path / "out"
         assert main(["landscape", "--config", cfg, "--out", str(out)]) == 0
-        rows = (out / "landscape.csv").read_text().splitlines()[5:]
+        rows = (out / "landscape.csv").read_text().splitlines()[4:]
         assert len(rows) == 15
 
     def test_consistency_artifact(self, tmp_path):
@@ -350,6 +435,17 @@ class TestMainErrors:
         cfg = _write_config(tmp_path, {"quadrature": {"nodes_per_lobe": 12}})
         assert main(["kernels", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error: quadrature.nodes_per_lobe" in capsys.readouterr().err
+
+    def test_kernel_failure_names_a_plain_float(self, tmp_path, capsys):
+        """At x_b = 40 the rule fails its self-check; the message shows the
+        grid value as a Python float, not as np.float64(...)."""
+        cfg = _write_config(tmp_path, dict(
+            TestMainKernels.config, grid=dict(TestMainKernels.config["grid"], x_b={
+                "lo": 40.0, "hi": 40.0, "count": 1})))
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: NonConvergence: ")
+        assert "np.float64" not in err
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         """A start far out at b = 3 theta* makes the quadrature fail its

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from emlab import harness
 from emlab import (
     ABState,
     ConsistencyResult,
@@ -78,8 +79,10 @@ class TestRateFit:
             rate_fit(_result((10, 100, 1000, 10000), (1.0, 0.5, 0.0, 0.1)))
 
     def test_ladder_must_increase(self):
-        with pytest.raises(ValueError):
-            _result((100, 100, 1000, 10000), (1.0, 0.5, 0.2, 0.1))
+        """consistency_ladder checks its ladder on entry; the result it
+        builds is then increasing by construction."""
+        with pytest.raises(ValueError, match="strictly increasing"):
+            consistency_ladder(INIT, MODEL, (100, 100, 1000, 10000), T=5, trials=1)
 
 
 class TestContractionEstimate:
@@ -166,6 +169,18 @@ class TestConsistencyLadder:
         assert all(v > 0.0 for v in result.sup_discrepancy)
         assert result.seeds == (0, 1, 2)
         assert math.isnan(result.slope)  # needs >= 4 rungs for a rate
+
+    @pytest.mark.parametrize("n_ladder, trials, match", [
+        ((100_000, 1000), 5, "strictly increasing"),
+        ((200, 400), 0, "trials"),
+    ])
+    def test_bad_inputs_raise_before_any_work(self, monkeypatch, n_ladder, trials, match):
+        calls = []
+        monkeypatch.setattr(harness, "sample_mixture", lambda *a: calls.append("draw"))
+        monkeypatch.setattr(harness, "run", lambda *a: calls.append("run"))
+        with pytest.raises(ValueError, match=match):
+            consistency_ladder(INIT, MODEL, n_ladder, T=5, trials=trials)
+        assert calls == []
 
 
 class TestErrorAccumulation:

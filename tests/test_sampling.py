@@ -134,6 +134,18 @@ class TestDataset:
         d2 = sample_mixture(MODEL_2D, 20, [5, 1])
         assert not np.array_equal(d1.data, d2.data)
 
+    @pytest.mark.parametrize("d, n, seed", [
+        (1, 1000, 0), (2, 100_000, 7), (8, 12345, 3), (3, 1, 11), (2, 500, [5, 1]),
+    ])
+    def test_draw_matches_the_out_of_place_sum(self, d, n, seed):
+        """The in-place draw gives, bit for bit, zeta * theta_star + omega
+        from the same stream."""
+        model = MixtureModel(d, np.linspace(-1.3, 2.1, d))
+        rng = np.random.default_rng(seed)
+        zeta = rng.integers(0, 2, size=n) * 2 - 1
+        expected = zeta[:, None] * model.theta_star + rng.standard_normal((n, d))
+        assert sample_mixture(model, n, seed).data.tobytes() == expected.tobytes()
+
     def test_shape_and_mean_caching(self):
         data = sample_mixture(MODEL_2D, 64, 1)
         assert data.n == 64
