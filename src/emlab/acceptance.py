@@ -402,8 +402,7 @@ def criterion_8() -> CriterionResult:
             b *= float(rng.uniform(0.4, 1.5)) / np.linalg.norm(b)
             state = ABState(a, b)
             pop, _ = model2_step(state, model)
-            data = sample_mixture(model, 10_000_000, [88, k])
-            samp = model2_step_ab(state, data)
+            samp = model2_step_ab(state, sample_mixture(model, 10_000_000, [88, k]))
             diff = _max_gap(samp, pop)
             scale = max(
                 1.0, float(np.max(np.abs(pop.a))), float(np.max(np.abs(pop.b)))

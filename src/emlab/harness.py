@@ -103,8 +103,8 @@ def consistency_ladder(
     for n in n_ladder:
         sup_n, fin_n = [], []
         for k in trial_seeds:
-            data = sample_mixture(model, n, [seed, k])
-            straj = run_sample(init, data, stop)
+            # unnamed, the trial's data is freed before the next trial draws
+            straj = run_sample(init, sample_mixture(model, n, [seed, k]), stop)
             sup_n.append(_sup_discrepancy(straj, pop_traj))
             fin_n.append(float(np.linalg.norm(straj.final_state.b - straj.target)))
         sups.append(float(np.median(sup_n)))

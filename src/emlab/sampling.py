@@ -10,17 +10,18 @@ population maps:
     Model 2 (ab-form):   a+ = qh (1-2ph)/(2 ph (1-ph)) + ybar/(2(1-ph)),
                          b+ = qh /(2 ph (1-ph))         - ybar/(2(1-ph)),
 
-with ph = (1/n) sum w_i, qh = (1/n) sum w_i y_i, and posterior weights in the
-saturation-safe tanh form
+with posterior weights w_i = (1 + t_i)/2 of the +b component and
+v_i = (1 - t_i)/2 of the -b component, where t_i = tanh(<y_i, b> - <a, b>)
+is the saturation-safe signed weight.  Neither weight vector is formed: one
+pass over the data gives t, then s = sum t_i and m = X^T t, and with the
+column sum c = X^T 1 cached on the Dataset
 
-    w_i = 0.5 * (1 + tanh(<y_i - a, b>))        (weight of the +b component)
-    v_i = 0.5 * (1 - tanh(<y_i - a, b>))        (weight of the -b component).
+    ph = (1 + s/n)/2,   qh = (c + m)/(2n),
+    mu2+ = (c + m)/(n + s),   mu1+ = (c - m)/(n - s),
 
-tanh is odd bit-for-bit, so w and v are exactly complementary and the two
-Model-2 forms agree to rounding (they are the same algebra).  Note that for
-|<y - a, b>| beyond ~19 the weights round to exactly 0.0/1.0; a p_hat
-outside (1e-15, 1 - 1e-15) raises DegenerateWeights instead of being
-clamped.
+so the two Model-2 forms are the same algebra and agree to rounding.  For
+|<y - a, b>| beyond ~19 the t_i round to exactly +-1; a p_hat outside
+(1e-15, 1 - 1e-15) raises DegenerateWeights instead of being clamped.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ class Dataset:
             )
         if not np.all(np.isfinite(data)):
             raise ValueError("data contains non-finite entries")
+        self._own(data, seed, model)
+
+    def _own(self, data: np.ndarray, seed, model: MixtureModel) -> None:
         data.setflags(write=False)
         self.data = data
         self.seed = seed
@@ -62,8 +66,15 @@ class Dataset:
         return self.data.shape[1]
 
     @cached_property
+    def colsum(self) -> np.ndarray:
+        """Column sums X^T 1 as one BLAS matrix-vector product."""
+        c = np.ones(self.n) @ self.data
+        c.setflags(write=False)
+        return c
+
+    @cached_property
     def mean(self) -> np.ndarray:
-        ybar = self.data.mean(axis=0)
+        ybar = self.colsum / self.n
         ybar.setflags(write=False)
         return ybar
 
@@ -89,19 +100,26 @@ def sample_mixture(model: MixtureModel, n: int, seed) -> Dataset:
     zeta = rng.integers(0, 2, size=n) * 2 - 1
     omega = rng.standard_normal((n, model.dim))
     omega += zeta[:, None] * model.theta_star  # in place: saves one n x d temporary
-    return Dataset(omega, seed, model)
+    # a fresh finite draw referenced nowhere else: adopt it without the
+    # copy and the finiteness scan that outside arrays get
+    dataset = Dataset.__new__(Dataset)
+    dataset._own(omega, seed, model)
+    return dataset
 
 
-def _posterior(data: Dataset, state: ABState) -> tuple[np.ndarray, np.ndarray, float]:
-    """Signed weights t_i = tanh(<y_i - a, b>), the +b weights w = (1 + t)/2
-    and their mean p_hat, from one tanh pass over the data; DegenerateWeights
-    when p_hat leaves (1e-15, 1 - 1e-15)."""
-    t = np.tanh((data.data - state.a) @ state.b)
-    w = 0.5 * (1.0 + t)
-    p_hat = float(w.mean())
+def _posterior(data: Dataset, state: ABState) -> tuple[np.ndarray, float, float]:
+    """Signed weights t_i = tanh(<y_i, b> - <a, b>), their sum s and the
+    posterior mass p_hat = (1 + s/n)/2 of the +b component, from one pass
+    over the data that forms no n x d temporary; DegenerateWeights when
+    p_hat leaves (1e-15, 1 - 1e-15)."""
+    t = data.data @ state.b
+    t -= state.a @ state.b
+    np.tanh(t, out=t)
+    s = float(t.sum())
+    p_hat = 0.5 * (1.0 + s / data.n)
     if not _P_INTERIOR < p_hat < 1.0 - _P_INTERIOR:
         raise DegenerateWeights(f"p_hat = {p_hat!r} outside (1e-15, 1 - 1e-15)")
-    return t, w, p_hat
+    return t, s, p_hat
 
 
 def model1_step_sample(theta_hat: np.ndarray, data: Dataset) -> np.ndarray:
@@ -115,11 +133,13 @@ def model1_step_sample(theta_hat: np.ndarray, data: Dataset) -> np.ndarray:
 
 
 def _step_mu(means: MeanPair, data: Dataset) -> tuple[MeanPair, float]:
-    t, w, p_hat = _posterior(data, to_ab(means))
-    v = 0.5 * (1.0 - t)
-    # p_hat inside (1e-15, 1 - 1e-15) keeps some t_i off +-1, so both sums
-    # are at least ~5e-17
-    return MeanPair(mu1=(v @ data.data) / v.sum(), mu2=(w @ data.data) / w.sum()), p_hat
+    t, s, p_hat = _posterior(data, to_ab(means))
+    m = t @ data.data
+    # p_hat inside (1e-15, 1 - 1e-15) keeps n -+ s above 2e-15 n, and the
+    # subtraction is exact (Sterbenz) wherever it cancels
+    mu1 = (data.colsum - m) / (data.n - s)
+    mu2 = (data.colsum + m) / (data.n + s)
+    return MeanPair(mu1=mu1, mu2=mu2), p_hat
 
 
 def model2_step_mu(means: MeanPair, data: Dataset) -> MeanPair:
@@ -132,8 +152,8 @@ def model2_step_mu(means: MeanPair, data: Dataset) -> MeanPair:
 
 
 def _step_ab_core(state: ABState, data: Dataset) -> tuple[ABState, float]:
-    _, w, p_hat = _posterior(data, state)
-    q_hat = (w @ data.data) / data.n
+    t, _, p_hat = _posterior(data, state)
+    q_hat = (data.colsum + t @ data.data) / (2.0 * data.n)
     ybar = data.mean
     denom = 2.0 * p_hat * (1.0 - p_hat)
     shift = ybar / (2.0 * (1.0 - p_hat))

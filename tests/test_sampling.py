@@ -81,6 +81,38 @@ class TestFormEquivalence:
         assert np.all(new.mu2 >= lo) and np.all(new.mu2 <= hi)
 
 
+class TestFusedWeightPass:
+    """The one-pass updates against the weight-vector formulas they replace:
+    w = (1 + tanh((X - a) @ b))/2, v = 1 - w, q = w @ X / n."""
+
+    @pytest.mark.parametrize("n", [1, 7, 1000, 12345])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_weight_vector_formulas(self, d, n):
+        model = MixtureModel(d, np.linspace(-1.3, 2.1, d) / d)
+        data = sample_mixture(model, n, [d, n])
+        rng = np.random.default_rng([d, n])
+        state = ABState(0.3 * rng.standard_normal(d), 0.3 * rng.standard_normal(d))
+        X = data.data
+
+        t = np.tanh((X - state.a) @ state.b)
+        w = 0.5 * (1.0 + t)
+        p, q, ybar = w.mean(), (w @ X) / n, X.mean(axis=0)
+        denom = 2.0 * p * (1.0 - p)
+        shift = ybar / (2.0 * (1.0 - p))
+        new = model2_step_ab(state, data)
+        np.testing.assert_allclose(new.a, q * ((1.0 - 2.0 * p) / denom) + shift,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(new.b, q / denom - shift, rtol=1e-12, atol=1e-12)
+
+        means = from_ab(state)
+        ab = to_ab(means)
+        t = np.tanh((X - ab.a) @ ab.b)
+        w, v = 0.5 * (1.0 + t), 0.5 * (1.0 - t)
+        new = model2_step_mu(means, data)
+        np.testing.assert_allclose(new.mu1, (v @ X) / v.sum(), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(new.mu2, (w @ X) / w.sum(), rtol=1e-12, atol=1e-12)
+
+
 class TestLikelihoodAscent:
     def test_em_never_decreases_loglik(self):
         data = sample_mixture(MODEL_2D, 500, 21)
@@ -121,6 +153,16 @@ class TestDegenerateWeights:
         with pytest.raises(DegenerateWeights):
             model2_step_ab(ABState([0.0], [1.0]), data)
 
+    def test_far_midpoint_raises_in_both_forms(self):
+        """A midpoint 12 units out puts p_hat near 6e-18, far inside the
+        reals but outside (1e-15, 1 - 1e-15)."""
+        data = sample_mixture(MODEL_2D, 20, 0)
+        state = ABState([12.0, 0.0], [2.0, 0.0])
+        with pytest.raises(DegenerateWeights):
+            model2_step_ab(state, data)
+        with pytest.raises(DegenerateWeights):
+            model2_step_mu(from_ab(state), data)
+
 
 class TestDataset:
     def test_sampling_is_deterministic(self):
@@ -151,8 +193,13 @@ class TestDataset:
         assert data.n == 64
         assert data.dim == 2
         assert data.mean is data.mean  # cached, and frozen
+        assert data.colsum is data.colsum
+        assert data.mean.tobytes() == (data.colsum / data.n).tobytes()
+        np.testing.assert_allclose(data.colsum, data.data.sum(axis=0), rtol=0, atol=1e-12)
         with pytest.raises(ValueError):
             data.mean[0] = 1.0
+        with pytest.raises(ValueError):
+            data.colsum[0] = 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -163,6 +210,12 @@ class TestDataset:
             _dataset([[float("nan")]], MODEL_1D)
         with pytest.raises(ValueError):
             Dataset(np.zeros(3), None, MODEL_1D)
+
+    def test_user_array_is_copied(self):
+        rows = np.array([[1.0], [2.0]])
+        data = Dataset(rows, None, MODEL_1D)
+        rows[0, 0] = 9.9
+        np.testing.assert_array_equal(data.data, [[1.0], [2.0]])
 
     def test_data_is_immutable(self):
         data = sample_mixture(MODEL_1D, 5, 0)
