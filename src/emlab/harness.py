@@ -3,20 +3,16 @@
 Contents: same-initialization coupled runs and their n-ladder aggregation
 (sample updates track the population flow, with final b-error shrinking like
 n^{-1/2}); per-step contraction-constant estimation from trajectory records;
-a worst-case simulation check of the error-accumulation recursion
-
-    a_t <= kappa_a a_{t-1} + eps_a,
-    e_t <= kappa_b e_{t-1} + sqrt(c_b a_{t-1}) + eps_b,
-
-against its closed-form envelopes; and an empirical-mean concentration spot
-check.  Every function here is deterministic given its seed arguments:
-per-trial RNG streams are spawned as default_rng([seed, trial]) and results
-are aggregated in trial order.
+and an empirical-mean concentration spot check.  Every function here is
+deterministic given its seed arguments: per-trial RNG streams are spawned as
+default_rng([seed, trial]) and results are aggregated in trial order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -89,7 +85,11 @@ def consistency_ladder(
 
     The population trajectory is shared across trials (it does not depend on
     the data); trial k of every rung reuses stream [seed, k], which acts as a
-    common-random-numbers coupling along the ladder.
+    common-random-numbers coupling along the ladder.  Trials are pipelined:
+    the calling thread draws the next trial's data while one worker thread
+    runs the sample EM of the previous one, so at most two datasets are
+    alive, every dataset is drawn on the calling thread, and results are
+    taken in (rung, trial) order.
     """
     n_ladder = tuple(int(n) for n in n_ladder)
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
@@ -99,16 +99,28 @@ def consistency_ladder(
     stop = StopRule(max_iters=T, step_tol=0.0)
     pop_traj = run(init, model, stop, spec)
     trial_seeds = tuple(range(trials))
-    sups, finals = [], []
-    for n in n_ladder:
-        sup_n, fin_n = [], []
-        for k in trial_seeds:
-            # unnamed, the trial's data is freed before the next trial draws
-            straj = run_sample(init, sample_mixture(model, n, [seed, k]), stop)
-            sup_n.append(_sup_discrepancy(straj, pop_traj))
-            fin_n.append(float(np.linalg.norm(straj.final_state.b - straj.target)))
-        sups.append(float(np.median(sup_n)))
-        finals.append(float(np.median(fin_n)))
+
+    def trial(data) -> tuple[float, float]:
+        straj = run_sample(init, data, stop)
+        return (
+            _sup_discrepancy(straj, pop_traj),
+            float(np.linalg.norm(straj.final_state.b - straj.target)),
+        )
+
+    stats = []
+    with ThreadPoolExecutor(1) as worker:
+        pending = None
+        for n, k in itertools.product(n_ladder, trial_seeds):
+            data = sample_mixture(model, n, [seed, k])
+            if pending is not None:
+                stats.append(pending.result())
+            pending = worker.submit(trial, data)
+            # only the worker holds the data now, and frees it when done
+            del data
+        stats.append(pending.result())
+    per_rung = np.array(stats).reshape(len(n_ladder), trials, 2)
+    sups = [float(v) for v in np.median(per_rung[:, :, 0], axis=1)]
+    finals = [float(v) for v in np.median(per_rung[:, :, 1], axis=1)]
     result = ConsistencyResult(
         n_ladder=n_ladder,
         sup_discrepancy=tuple(sups),
@@ -164,41 +176,6 @@ def contraction_estimate(traj: Trajectory) -> ContractionEstimate:
         and not (math.isfinite(kappa_sin) and kappa_sin >= 1.0)
     )
     return ContractionEstimate(kappa_a, kappa_b, kappa_sin, T0, valid)
-
-
-def error_accumulation_check(
-    eps_a: float,
-    eps_b: float,
-    kappas: tuple[float, float],
-    c_b: float,
-    T: int,
-) -> bool:
-    """Simulate the two-level error recursion at worst case (equalities) from
-    a_0 = e_0 = 1 and check the closed-form envelopes at every step.
-
-    Envelopes:  a_t <= kappa_a^t + eps_a/(1-kappa_a)  and
-    e_t <= kappa_b^t + t gamma^{t-1} sqrt(c_b)
-          + sqrt(c_b eps_a/(1-kappa_a))/(1-kappa_b) + eps_b/(1-kappa_b),
-    gamma = max(sqrt(kappa_a), kappa_b).
-    """
-    kappa_a, kappa_b = kappas
-    for name, k in (("kappa_a", kappa_a), ("kappa_b", kappa_b)):
-        if not 0.0 < k < 1.0:
-            raise ValueError(f"{name} must lie in (0, 1), got {k!r}")
-    if eps_a < 0.0 or eps_b < 0.0 or c_b < 0.0:
-        raise ValueError("eps_a, eps_b and c_b must be nonnegative")
-    gamma = max(math.sqrt(kappa_a), kappa_b)
-    a_stat = eps_a / (1.0 - kappa_a)
-    e_stat = math.sqrt(c_b * a_stat) / (1.0 - kappa_b) + eps_b / (1.0 - kappa_b)
-    a, e = 1.0, 1.0
-    for t in range(1, T + 1):
-        e = kappa_b * e + math.sqrt(c_b * a) + eps_b
-        a = kappa_a * a + eps_a
-        a_bound = kappa_a**t + a_stat
-        e_bound = kappa_b**t + t * gamma ** (t - 1) * math.sqrt(c_b) + e_stat
-        if a > a_bound * (1.0 + 1e-12) or e > e_bound * (1.0 + 1e-12):
-            return False
-    return True
 
 
 def concentration_check(

@@ -22,11 +22,26 @@ column sum c = X^T 1 cached on the Dataset
 so the two Model-2 forms are the same algebra and agree to rounding.  For
 |<y - a, b>| beyond ~19 the t_i round to exactly +-1; a p_hat outside
 (1e-15, 1 - 1e-15) raises DegenerateWeights instead of being clamped.
+Model 1 is the a = 0 slice of the same pass: theta+ = m/n with b = theta.
+
+The pass runs over row blocks of about 256 KB: each block gives its t, its
+share of s and its share of m, and the shares are added in block order, so
+no n-length t is formed and every sum has one order, fixed by n and d.  The
+column sum c is accumulated the same way.  The blocks' X^T t products go
+through BLAS, which splits a product over its threads; so that the split
+never reaches the artifacts, importing this module pins numpy's bundled
+OpenBLAS to one thread for the whole process.  With one thread every
+artifact's bytes are the same whatever OPENBLAS_NUM_THREADS or the core
+count says.  A numpy built against another BLAS has no such setter and is
+left as it is.
 """
 
 from __future__ import annotations
 
+import ctypes
+import mmap
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +49,35 @@ from .errors import DegenerateWeights, DimensionMismatch
 from .geometry import ABState, MeanPair, MixtureModel, from_ab, to_ab
 from .landscape import _log_cosh
 from .population import _P_INTERIOR, StopRule, Trajectory, _trajectory
+
+# rows per block: 16384 at d = 2, 4096 at d = 8
+_BLOCK_BYTES = 1 << 18
+# draws this large or larger get a memory map of their own
+_MAP_BYTES = 1 << 22
+
+
+def _pin_blas_to_one_thread() -> bool:
+    """Set numpy's bundled OpenBLAS to one thread; False when numpy bundles
+    no scipy-openblas library with ``scipy_openblas_set_num_threads64_``."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            # the library numpy already loaded, so the setting is numpy's
+            setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+        return True
+    return False
+
+
+_BLAS_PINNED = _pin_blas_to_one_thread()
+
+
+def _block_rows(d: int) -> int:
+    """Rows in one ~256 KB block of an n x d float64 array."""
+    return max(1, _BLOCK_BYTES // (8 * d))
 
 
 class Dataset:
@@ -67,8 +111,13 @@ class Dataset:
 
     @cached_property
     def colsum(self) -> np.ndarray:
-        """Column sums X^T 1 as one BLAS matrix-vector product."""
-        c = np.ones(self.n) @ self.data
+        """Column sums X^T 1, one row block at a time, added in block order."""
+        rows = _block_rows(self.dim)
+        ones = np.ones(min(rows, self.n))
+        c = np.zeros(self.dim)
+        for start in range(0, self.n, rows):
+            block = self.data[start:start + rows]
+            c += ones[:len(block)] @ block
         c.setflags(write=False)
         return c
 
@@ -92,14 +141,41 @@ class Dataset:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _fresh(n: int, d: int) -> np.ndarray:
+    """Storage for an n x d draw.  From 4 MB up it is a private anonymous
+    memory map of its own, with huge pages where the kernel grants them (as
+    numpy asks for its own large arrays).  The map goes back to the system
+    when the dataset is freed; in the malloc heap a freed dataset can stay
+    resident (glibc keeps up to 32 MB of free heap) and raise a later peak."""
+    if 8 * n * d < _MAP_BYTES:
+        return np.empty((n, d))
+    buf = mmap.mmap(-1, 8 * n * d, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=float).reshape(n, d)
+
+
 def sample_mixture(model: MixtureModel, n: int, seed) -> Dataset:
     """Draw n rows zeta_i * theta_star + omega_i; deterministic given seed."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    zeta = rng.integers(0, 2, size=n) * 2 - 1
-    omega = rng.standard_normal((n, model.dim))
-    omega += zeta[:, None] * model.theta_star  # in place: saves one n x d temporary
+    # the stream's int64 signs, drawn a block at a time and kept as int8
+    zeta = np.empty(n, dtype=np.int8)
+    chunk = _block_rows(1)
+    for start in range(0, n, chunk):
+        zeta[start:start + chunk] = rng.integers(0, 2, size=min(chunk, n - start))
+    zeta *= 2
+    zeta -= 1
+    omega = rng.standard_normal(out=_fresh(n, model.dim))
+    # add zeta_i * theta_star in place, a block at a time: no n x d temporary
+    rows = _block_rows(model.dim)
+    shift = np.empty((min(rows, n), model.dim))
+    for start in range(0, n, rows):
+        block = omega[start:start + rows]
+        sb = shift[:len(block)]
+        np.multiply(zeta[start:start + rows, None], model.theta_star, out=sb)
+        block += sb
     # a fresh finite draw referenced nowhere else: adopt it without the
     # copy and the finiteness scan that outside arrays get
     dataset = Dataset.__new__(Dataset)
@@ -107,19 +183,34 @@ def sample_mixture(model: MixtureModel, n: int, seed) -> Dataset:
     return dataset
 
 
-def _posterior(data: Dataset, state: ABState) -> tuple[np.ndarray, float, float]:
-    """Signed weights t_i = tanh(<y_i, b> - <a, b>), their sum s and the
-    posterior mass p_hat = (1 + s/n)/2 of the +b component, from one pass
-    over the data that forms no n x d temporary; DegenerateWeights when
-    p_hat leaves (1e-15, 1 - 1e-15)."""
-    t = data.data @ state.b
-    t -= state.a @ state.b
-    np.tanh(t, out=t)
-    s = float(t.sum())
+def _weight_pass(X: np.ndarray, b: np.ndarray, shift: float) -> tuple[float, np.ndarray]:
+    """s = sum t_i and m = X^T t for t_i = tanh(<y_i, b> - shift), one row
+    block at a time: each block's t fills one reused buffer, and the blocks'
+    shares of s and m are added in block order."""
+    n, d = X.shape
+    rows = _block_rows(d)
+    t = np.empty(min(rows, n))
+    s, m = 0.0, np.zeros(d)
+    for start in range(0, n, rows):
+        block = X[start:start + rows]
+        tb = t[:len(block)]
+        np.matmul(block, b, out=tb)
+        tb -= shift
+        np.tanh(tb, out=tb)
+        s += float(tb.sum())
+        m += tb @ block
+    return s, m
+
+
+def _posterior(data: Dataset, state: ABState) -> tuple[float, np.ndarray, float]:
+    """The weight pass at t_i = tanh(<y_i, b> - <a, b>): s, m and the
+    posterior mass p_hat = (1 + s/n)/2 of the +b component; DegenerateWeights
+    when p_hat leaves (1e-15, 1 - 1e-15)."""
+    s, m = _weight_pass(data.data, state.b, state.a @ state.b)
     p_hat = 0.5 * (1.0 + s / data.n)
     if not _P_INTERIOR < p_hat < 1.0 - _P_INTERIOR:
         raise DegenerateWeights(f"p_hat = {p_hat!r} outside (1e-15, 1 - 1e-15)")
-    return t, s, p_hat
+    return s, m, p_hat
 
 
 def model1_step_sample(theta_hat: np.ndarray, data: Dataset) -> np.ndarray:
@@ -129,12 +220,12 @@ def model1_step_sample(theta_hat: np.ndarray, data: Dataset) -> np.ndarray:
         raise DimensionMismatch(
             f"theta_hat has shape {theta_hat.shape}, expected ({data.dim},)"
         )
-    return (data.data.T @ np.tanh(data.data @ theta_hat)) / data.n
+    # the a = 0 slice of the weight pass, where p = 1/2 needs no check
+    return _weight_pass(data.data, theta_hat, 0.0)[1] / data.n
 
 
 def _step_mu(means: MeanPair, data: Dataset) -> tuple[MeanPair, float]:
-    t, s, p_hat = _posterior(data, to_ab(means))
-    m = t @ data.data
+    s, m, p_hat = _posterior(data, to_ab(means))
     # p_hat inside (1e-15, 1 - 1e-15) keeps n -+ s above 2e-15 n, and the
     # subtraction is exact (Sterbenz) wherever it cancels
     mu1 = (data.colsum - m) / (data.n - s)
@@ -152,8 +243,8 @@ def model2_step_mu(means: MeanPair, data: Dataset) -> MeanPair:
 
 
 def _step_ab_core(state: ABState, data: Dataset) -> tuple[ABState, float]:
-    t, _, p_hat = _posterior(data, state)
-    q_hat = (data.colsum + t @ data.data) / (2.0 * data.n)
+    _, m, p_hat = _posterior(data, state)
+    q_hat = (data.colsum + m) / (2.0 * data.n)
     ybar = data.mean
     denom = 2.0 * p_hat * (1.0 - p_hat)
     shift = ybar / (2.0 * (1.0 - p_hat))

@@ -2,12 +2,18 @@
 artifact reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emlab
 from emlab import ConfigError
 from emlab.cli import config_hash, main, resolve_config
+from emlab.sampling import _BLAS_PINNED
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -499,3 +505,33 @@ class TestMainErrors:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("emlab ")
+
+
+@pytest.mark.skipif(
+    not _BLAS_PINNED,
+    reason="numpy bundles no OpenBLAS with scipy_openblas_set_num_threads64_ to pin",
+)
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A threaded BLAS splits a full-length X^T t over its threads, which once
+    made this d = 2, n = 1e6 run write different bytes under 1 and 2 threads;
+    fixed-order row blocks and the one-thread pin keep the bytes equal."""
+    cfg = _write_config(tmp_path, {
+        "command": "run-sample",
+        "model": {"d": 2, "theta_star": [1.0, 0.2]},
+        "n": 1_000_000,
+        "seed": 3,
+        "stop": {"max_iters": 50, "step_tol": 0},
+    })
+    src = str(Path(emlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from emlab.cli import main; sys.exit(main(sys.argv[1:]))",
+             "run-sample", "--config", cfg, "--out", str(out)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+            check=True, capture_output=True, timeout=300,
+        )
+        artifacts.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert artifacts[0] == artifacts[1]

@@ -1,7 +1,8 @@
 """Sample-vs-population harness tests: rate fitting, contraction estimation
-on synthetic trajectories, and the concentration/accumulation checks."""
+on synthetic trajectories, the pipelined ladder, and the concentration check."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,16 +11,21 @@ from emlab import harness
 from emlab import (
     ABState,
     ConsistencyResult,
+    Dataset,
+    DegenerateWeights,
     InsufficientData,
     MixtureModel,
     PopStepRecord,
+    StopRule,
     Trajectory,
     concentration_check,
     consistency_ladder,
     contraction_estimate,
     coupled_run,
-    error_accumulation_check,
     rate_fit,
+    run,
+    run_sample,
+    sample_mixture,
 )
 
 MODEL = MixtureModel(2, [1.0, 0.0])
@@ -118,8 +124,6 @@ class TestContractionEstimate:
             contraction_estimate(_toy_trajectory([None, 0.5, 0.5]))
 
     def test_on_a_real_run(self):
-        from emlab import StopRule, run
-
         traj = run(INIT, MODEL, StopRule(max_iters=500, step_tol=1e-8))
         est = contraction_estimate(traj)
         assert est.valid
@@ -182,22 +186,46 @@ class TestConsistencyLadder:
             consistency_ladder(INIT, MODEL, n_ladder, T=5, trials=trials)
         assert calls == []
 
+    def test_pipelined_ladder_equals_the_serial_loop(self):
+        """Drawing trial k+1 while trial k runs changes no bit of the result."""
+        ladder, T, trials, seed = (200, 400, 800, 1600), 6, 5, 4
+        threads = threading.active_count()
+        result = consistency_ladder(INIT, MODEL, ladder, T=T, trials=trials, seed=seed)
+        assert threading.active_count() == threads
 
-class TestErrorAccumulation:
-    def test_envelopes_hold(self):
-        for kappas in ((0.3, 0.6), (0.8, 0.2), (0.5, 0.5)):
-            assert error_accumulation_check(1e-3, 1e-3, kappas, 0.2, 200)
+        stop = StopRule(max_iters=T, step_tol=0.0)
+        pop_traj = run(INIT, MODEL, stop)
+        sups, finals = [], []
+        for n in ladder:
+            sup_n, fin_n = [], []
+            for k in range(trials):
+                straj = run_sample(INIT, sample_mixture(MODEL, n, [seed, k]), stop)
+                sup_n.append(harness._sup_discrepancy(straj, pop_traj))
+                fin_n.append(float(np.linalg.norm(straj.final_state.b - straj.target)))
+            sups.append(float(np.median(sup_n)))
+            finals.append(float(np.median(fin_n)))
+        assert result.sup_discrepancy == tuple(sups)
+        assert result.final_error == tuple(finals)
+        assert result.slope == harness.rate_fit(result)
 
-    def test_exact_recursions_without_noise(self):
-        assert error_accumulation_check(0.0, 0.0, (0.25, 0.5), 1.0, 100)
+    def test_a_failing_trial_surfaces_with_its_type(self, monkeypatch):
+        """Trial k = 1 of the second rung gets data far out along b, so its
+        weights saturate and its first step raises DegenerateWeights."""
+        draws = []
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            error_accumulation_check(1e-3, 1e-3, (1.0, 0.5), 0.2, 10)
-        with pytest.raises(ValueError):
-            error_accumulation_check(1e-3, 1e-3, (0.5, 0.0), 0.2, 10)
-        with pytest.raises(ValueError):
-            error_accumulation_check(-1e-3, 1e-3, (0.5, 0.5), 0.2, 10)
+        def draw(model, n, seed):
+            draws.append(seed)
+            if len(draws) == 6:
+                return Dataset(np.full((n, 2), 40.0), seed, model)
+            return sample_mixture(model, n, seed)
+
+        monkeypatch.setattr(harness, "sample_mixture", draw)
+        threads = threading.active_count()
+        with pytest.raises(DegenerateWeights):
+            consistency_ladder(INIT, MODEL, (200, 400, 800), T=5, trials=4, seed=1)
+        assert threading.active_count() == threads
+        # the failure surfaces while the next trial's data is drawn, and no later
+        assert len(draws) == 7
 
 
 class TestConcentration:

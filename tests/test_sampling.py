@@ -1,7 +1,9 @@
 """Finite-sample EM tests: hand-checked updates, equivalence of the two
 Model-2 parameterizations, likelihood ascent, and dataset plumbing."""
 
+import ctypes
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from emlab import (
     sample_mixture,
     to_ab,
 )
+from emlab.sampling import _BLAS_PINNED, _MAP_BYTES, _block_rows
 
 MODEL_1D = MixtureModel(1, [1.0])
 MODEL_2D = MixtureModel(2, [1.0, 0.0])
@@ -52,6 +55,16 @@ class TestModel1Step:
         data = sample_mixture(MODEL_2D, 10, 0)
         with pytest.raises(DimensionMismatch):
             model1_step_sample(np.array([1.0]), data)
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_blocked_pass_matches_the_direct_formula(self, d):
+        """Over several row blocks the step still equals X^T tanh(X theta)/n."""
+        n = 3 * _block_rows(d) + 7
+        data = sample_mixture(MixtureModel(d, np.linspace(0.4, 1.2, d)), n, [d, 5])
+        theta = np.linspace(-0.3, 0.9, d)
+        X = data.data
+        np.testing.assert_allclose(model1_step_sample(theta, data),
+                                   X.T @ np.tanh(X @ theta) / n, rtol=1e-12, atol=1e-15)
 
 
 class TestFormEquivalence:
@@ -85,7 +98,7 @@ class TestFusedWeightPass:
     """The one-pass updates against the weight-vector formulas they replace:
     w = (1 + tanh((X - a) @ b))/2, v = 1 - w, q = w @ X / n."""
 
-    @pytest.mark.parametrize("n", [1, 7, 1000, 12345])
+    @pytest.mark.parametrize("n", [1, 7, 1000, 12345, 49159])
     @pytest.mark.parametrize("d", range(1, 9))
     def test_matches_weight_vector_formulas(self, d, n):
         model = MixtureModel(d, np.linspace(-1.3, 2.1, d) / d)
@@ -188,6 +201,24 @@ class TestDataset:
         expected = zeta[:, None] * model.theta_star + rng.standard_normal((n, d))
         assert sample_mixture(model, n, seed).data.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 17, [5, 2]])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_blocked_draw_matches_the_one_shot_formula(self, d, seed):
+        """Adding zeta * theta_star block by block, with zeta drawn a block at
+        a time and held as int8, gives the one-shot draw bit for bit, at and
+        around block edges and in a memory-mapped draw."""
+        model = MixtureModel(d, np.linspace(-1.3, 2.1, d))
+        block = _block_rows(d)
+        mapped = _MAP_BYTES // (8 * d)
+        for n in (1, block - 1, block, block + 1, 3 * block + 7, mapped):
+            rng = np.random.default_rng(seed)
+            zeta = rng.integers(0, 2, size=n) * 2 - 1
+            expected = rng.standard_normal((n, d))
+            expected += zeta[:, None] * model.theta_star
+            data = sample_mixture(model, n, seed).data
+            assert data.tobytes() == expected.tobytes()
+            assert not data.flags.writeable
+
     def test_shape_and_mean_caching(self):
         data = sample_mixture(MODEL_2D, 64, 1)
         assert data.n == 64
@@ -267,3 +298,14 @@ class TestRunSample:
         data = sample_mixture(MODEL_2D, 10, 0)
         with pytest.raises(ValueError):
             run_sample(ABState([0.0, 0.0], [0.5, 0.0]), data, form="theta")
+
+
+@pytest.mark.skipif(
+    not _BLAS_PINNED,
+    reason="numpy bundles no OpenBLAS with scipy_openblas_set_num_threads64_ to pin",
+)
+def test_numpy_blas_runs_one_thread():
+    """The pin reaches the OpenBLAS that numpy itself loaded."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    (path,) = libs.glob("libscipy_openblas64_*.so")
+    assert ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_() == 1
