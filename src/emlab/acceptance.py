@@ -289,25 +289,21 @@ def _contraction_runs() -> tuple[tuple[ABState, MixtureModel, Trajectory], ...]:
 
 
 def _pre_floor(traj: Trajectory) -> Trajectory:
-    """Records strictly above the numerical floors of each diagnostic.
+    """The rows before the first one at a numerical floor of any diagnostic.
 
     Converged tails sit on plateaus (b-distance at the quadrature-bias
     offset of the float fixed point, angle and a-norm at rounding scale);
     ratios taken there measure noise, not contraction.
     """
-    kept = []
-    for r in traj.records:
-        sin = r.sin_beta
-        if r.dist_b < 1e-10 or r.norm_a < 1e-13 or (math.isfinite(sin) and sin < 1e-10):
-            break
-        kept.append(r)
-    return dataclasses.replace(traj, records=tuple(kept))
+    r = traj.records
+    floor = np.flatnonzero((r["dist_b"] < 1e-10) | (r["norm_a"] < 1e-13) | (r["sin_beta"] < 1e-10))
+    return dataclasses.replace(traj, records=r[: floor[0] if floor.size else len(r)])
 
 
 def _series(traj: Trajectory, model: MixtureModel):
     """|a|, |b| and sin(beta) for every record plus the final state."""
-    b_rows = np.array([r.state.b for r in traj.records] + [traj.final_state.b])
-    norm_a = np.linalg.norm([r.state.a for r in traj.records] + [traj.final_state.a], axis=1)
+    b_rows = np.vstack([traj.records["b"], traj.final_state.b])
+    norm_a = np.linalg.norm(np.vstack([traj.records["a"], traj.final_state.a]), axis=1)
     return norm_a, np.linalg.norm(b_rows, axis=1), np.sin(_betas(b_rows, model))
 
 
@@ -354,7 +350,7 @@ def criterion_6() -> CriterionResult:
         for _, _, traj in _contraction_runs():
             clipped = _pre_floor(traj)
             est = contraction_estimate(clipped)
-            if not (est.valid and est.kappa_b < 1.0 and est.T0 < clipped.records[-1].t):
+            if not (est.valid and est.kappa_b < 1.0 and est.T0 < len(clipped) - 1):
                 bad += 1
             else:
                 worst_kappa = max(worst_kappa, est.kappa_b)
@@ -539,9 +535,9 @@ def criterion_13() -> CriterionResult:
             rot_model = MixtureModel(d, q @ theta)
             rot_init = ABState(q @ init.a, q @ init.b)
             rot = run(rot_init, rot_model, stop)
-            for rb, rr in zip(base.records, rot.records):
-                rotated = ABState(q @ rb.state.a, q @ rb.state.b)
-                worst = max(worst, _max_gap(rr.state, rotated))
+            for part in ("a", "b"):
+                gap = np.abs(rot.records[part] - base.records[part] @ q.T)
+                worst = max(worst, float(gap.max()))
         return worst <= 1e-10, f"worst rotated-state discrepancy {worst:.2e} over 10 maps"
 
     return _timed(13, "orthogonal equivariance of the population flow", body)

@@ -65,11 +65,11 @@ from .errors import (
     NonConvergence,
     NotPositiveDefinite,
 )
-from .geometry import ABState, MeanPair, MixtureModel, state_distance, whiten
-from .harness import consistency_ladder, coupled_run
+from .geometry import ABState, MeanPair, MixtureModel, whiten
+from .harness import _discrepancies, consistency_ladder, coupled_run
 from .kernels import tabulate
 from .landscape import expected_loglik
-from .population import StopRule, _sign_target, run, run_model1
+from .population import RATIO_FIELDS, StopRule, _sign_target, run, run_model1
 from .quadrature import MIN_NODES_PER_LOBE, QuadratureSpec
 from .sampling import run_sample, sample_mixture
 
@@ -384,22 +384,27 @@ class _Sink:
 # ---------------------------------------------------------------- commands
 
 
+def _columns(records, fields):
+    """The named columns of a records table as lists of Python scalars."""
+    return [records[field].tolist() for field in fields]
+
+
 def _free_rows(traj, d):
-    rows = []
-    for r in traj.records:
-        rows.append(
-            (r.t,)
-            + tuple(float(v) for v in r.state.a)
-            + tuple(float(v) for v in r.state.b)
-            + (r.p, r.beta, r.sin_beta, r.norm_a, r.dist_b, r.ratio_a, r.ratio_b, r.ratio_sin)
-        )
+    r = traj.records
+    # a missing ratio is nan in the table and an empty cell in the file
+    ratios = [[None if math.isnan(v) else v for v in column]
+              for column in _columns(r, RATIO_FIELDS)]
+    columns = (
+        [r["t"].tolist()] + r["a"].T.tolist() + r["b"].T.tolist()
+        + _columns(r, ("p", "beta", "sin_beta", "norm_a", "dist_b")) + ratios
+    )
     header = (
         ["t"]
         + [f"a_{i}" for i in range(d)]
         + [f"b_{i}" for i in range(d)]
-        + ["p", "beta", "sin_beta", "norm_a", "dist_b", "ratio_a", "ratio_b", "ratio_sin"]
+        + ["p", "beta", "sin_beta", "norm_a", "dist_b", *RATIO_FIELDS]
     )
-    return header, rows
+    return header, zip(*columns)
 
 
 def _cmd_run_population(sink, model, spec, init, stop, resolved):
@@ -443,7 +448,8 @@ def _trajectory_summary(traj):
         "target": [float(v) for v in traj.target],
         "final_norm_a": float(np.linalg.norm(traj.final_state.a)),
         "final_dist_b": float(np.linalg.norm(traj.final_state.b - traj.target)),
-        "last_record": {"t": last.t, "norm_a": last.norm_a, "dist_b": last.dist_b},
+        "last_record": {"t": int(last["t"]), "norm_a": float(last["norm_a"]),
+                        "dist_b": float(last["dist_b"])},
     }
 
 
@@ -469,14 +475,12 @@ def _cmd_coupled(sink, model, spec, init, stop, resolved):
     )
     header = ["t", "discrepancy", "pop_norm_a", "pop_dist_b", "pop_p",
               "samp_norm_a", "samp_dist_b", "samp_p"]
-    rows = []
-    for s_rec, p_rec in zip(sample_traj.records, pop_traj.records):
-        rows.append(
-            (s_rec.t, state_distance(s_rec.state, p_rec.state),
-             p_rec.norm_a, p_rec.dist_b, p_rec.p,
-             s_rec.norm_a, s_rec.dist_b, s_rec.p)
-        )
-    sink.csv("coupled.csv", header, rows)
+    fields = ("norm_a", "dist_b", "p")
+    columns = (
+        [sample_traj.records["t"].tolist(), _discrepancies(sample_traj, pop_traj).tolist()]
+        + _columns(pop_traj.records, fields) + _columns(sample_traj.records, fields)
+    )
+    sink.csv("coupled.csv", header, zip(*columns))
     sink.json(
         "summary.json",
         {

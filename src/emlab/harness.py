@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsufficientData
-from .geometry import ABState, MixtureModel, state_distance
+from .geometry import ABState, MixtureModel
 from .population import StopRule, Trajectory, run
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .sampling import run_sample, sample_mixture
@@ -45,11 +45,16 @@ class ContractionEstimate(NamedTuple):
     valid: bool
 
 
-def _sup_discrepancy(sample_traj: Trajectory, pop_traj: Trajectory) -> float:
-    return max(
-        state_distance(rs.state, rp.state)
-        for rs, rp in zip(sample_traj.records, pop_traj.records)
+def _discrepancies(sample_traj: Trajectory, pop_traj: Trajectory) -> np.ndarray:
+    """``state_distance`` between the two runs' iterates, row by row."""
+    x, y = sample_traj.records, pop_traj.records
+    return np.hypot(
+        np.linalg.norm(x["a"] - y["a"], axis=1), np.linalg.norm(x["b"] - y["b"], axis=1)
     )
+
+
+def _sup_discrepancy(sample_traj: Trajectory, pop_traj: Trajectory) -> float:
+    return float(np.max(_discrepancies(sample_traj, pop_traj)))
 
 
 def coupled_run(
@@ -149,22 +154,23 @@ def rate_fit(result: ConsistencyResult) -> float:
 def contraction_estimate(traj: Trajectory) -> ContractionEstimate:
     """Fit per-step contraction factors from a trajectory's recorded ratios.
 
-    T0 is the last step index whose b-error ratio is missing or >= 1 (0 when
-    contraction holds from the start); the kappas are the largest ratios over
-    the post-T0 tail.  `valid` requires a finite tail estimate kappa_b < 1
-    with no tail ratio of any kind reaching 1.
+    T0 is the last row index >= 1 whose b-error ratio is missing (nan) or
+    >= 1 (0 when contraction holds from the start); the kappas are the
+    largest ratios present over the post-T0 tail (nan when none is).
+    `valid` requires a finite tail estimate kappa_b < 1 with no tail ratio
+    of any kind reaching 1.
     """
     if len(traj) < 5:
         raise InsufficientData(f"need >= 5 records to estimate contraction, got {len(traj)}")
     records = traj.records
-    bad = [r.t for r in records[1:] if r.ratio_b is None or not r.ratio_b < 1.0]
-    T0 = max(bad) if bad else 0
-    tail = [r for r in records if r.t > T0]
+    # a missing (nan) ratio fails the comparison and so counts as bad
+    bad = np.flatnonzero(~(records["ratio_b"][1:] < 1.0))
+    T0 = int(bad[-1]) + 1 if bad.size else 0
+    tail = records[T0 + 1:]
 
     def tail_max(field: str) -> float:
-        vals = [getattr(r, field) for r in tail]
-        vals = [v for v in vals if v is not None]
-        return max(vals) if vals else float("nan")
+        vals = tail[field][~np.isnan(tail[field])]
+        return float(vals.max()) if vals.size else float("nan")
 
     kappa_a = tail_max("ratio_a")
     kappa_b = tail_max("ratio_b")

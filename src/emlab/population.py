@@ -15,9 +15,9 @@ Model 1 is the a = 0 slice, where p = 1/2 and a+ = 0 are set exactly.
 ``model2_step`` at a = 0 reproduces it bit-for-bit.  A step whose p leaves
 (1e-15, 1 - 1e-15) raises DegenerateWeights.  ``run``, ``run_sample`` and
 ``run_model1`` share one stop rule and one iteration driver, which carries
-only the iterates and their p; the diagnostics records come afterwards from
-one array pass over the stacked iterates, so each iterate is reduced once
-(by its step) and a sample run not at all.
+only the iterates and their p; the diagnostics table (``Trajectory``) is
+filled afterwards column by column from the stacked iterates, so each
+iterate is reduced once (by its step) and a sample run not at all.
 
 Exactness guarantees (no thresholding involved):
   * <a, b> == 0.0 implies p = 0.5 and a+ = 0 exactly;
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,52 +69,38 @@ class StopRule:
         return moved < self.step_tol
 
 
-@dataclass(frozen=True)
-class PopStepRecord:
-    """Diagnostics for one visited iterate.
+RATIO_FIELDS = ("ratio_a", "ratio_b", "ratio_sin")
 
-    ``t`` indexes the iterate; ``p`` is the posterior mass evaluated at this
-    iterate (the scalar that produces iterate t+1).  ``beta`` is the angle
-    between b and theta_star (nan when undefined), ``dist_b`` the distance of
-    b to the sign-resolved target.  Ratios compare against the previous
-    record and are None at t = 0 or when the previous denominator vanishes.
-    """
 
-    t: int
-    state: ABState
-    p: float
-    beta: float
-    norm_a: float
-    dist_b: float
-    ratio_a: Optional[float] = None
-    ratio_b: Optional[float] = None
-    ratio_sin: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not (_P_INTERIOR < self.p < 1.0 - _P_INTERIOR):
-            raise ValueError(f"posterior mass p left the open unit interval: {self.p!r}")
-
-    @property
-    def sin_beta(self) -> float:
-        return math.sin(self.beta) if math.isfinite(self.beta) else float("nan")
+def record_dtype(dim: int) -> np.dtype:
+    """The row type of ``Trajectory.records`` for dimension ``dim``."""
+    scalars = ("p", "beta", "sin_beta", "norm_a", "dist_b") + RATIO_FIELDS
+    return np.dtype([("t", np.int64), ("a", float, (dim,)), ("b", float, (dim,))]
+                    + [(name, float) for name in scalars])
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Visited iterates plus the exact final state of a run."""
+    """Visited iterates plus the exact final state of a run.
 
-    records: tuple[PopStepRecord, ...]
+    ``records`` is a read-only structured array, one row per iterate t (so
+    ``records["dist_b"]`` is a column, ``len(records)`` the row count), with
+    the state ``a``, ``b`` (length d); ``p``, the posterior mass at the
+    iterate (the scalar that produces iterate t+1); the angle ``beta`` of b
+    to theta_star and ``sin_beta`` (nan when undefined); ``norm_a``; and
+    ``dist_b``, the distance of b to the sign-resolved ``target``.  The
+    ratios of ``norm_a``, ``dist_b`` and ``sin_beta`` to the previous row's
+    value are ``ratio_a``, ``ratio_b`` and ``ratio_sin``: nan at t = 0 and
+    unless the previous value is finite and positive and the current finite.
+    """
+
+    records: np.ndarray
     final_state: ABState
     converged: bool
     target: np.ndarray
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def series(self, field: str) -> np.ndarray:
-        """Per-record values of ``field`` ('norm_a', 'dist_b', 'beta',
-        'sin_beta', 'p') as a float array."""
-        return np.array([getattr(r, field) for r in self.records], dtype=float)
 
 
 def _planar_p_q(coords: PlanarCoords, spec: QuadratureSpec) -> tuple[float, np.ndarray]:
@@ -175,36 +161,43 @@ def _betas(b_rows: np.ndarray, model: MixtureModel) -> np.ndarray:
     return np.where(defined & (model.norm_theta > 0.0), beta, np.nan)
 
 
-def _ratios(values: np.ndarray) -> list[Optional[float]]:
-    """values[t] / values[t-1] per row; None at t = 0 and unless the previous
+def _ratios(values: np.ndarray) -> np.ndarray:
+    """values[t] / values[t-1] per row; nan at t = 0 and unless the previous
     value is finite and positive and the current one finite."""
     prev, curr = values[:-1], values[1:]
     valid = (prev > 0.0) & (prev < np.inf) & np.isfinite(curr)
-    ratio = np.divide(curr, prev, out=np.full_like(curr, np.nan), where=valid)
-    return [None] + [r if ok else None for r, ok in zip(ratio.tolist(), valid.tolist())]
+    ratio = np.full_like(values, np.nan)
+    np.divide(curr, prev, out=ratio[1:], where=valid)
+    return ratio
 
 
 def _records(
     states: list[ABState], ps: list[float], target: np.ndarray, model: MixtureModel
-) -> tuple[PopStepRecord, ...]:
-    """The diagnostics record of every iterate, from one pass over the stack;
+) -> np.ndarray:
+    """The diagnostics table of every iterate, from one pass over the stack;
     row t is ``states[t]`` with its mass ``ps[t]``."""
-    b_rows = np.array([state.b for state in states])
-    norm_a = np.linalg.norm([state.a for state in states], axis=1)
-    dist_b = np.linalg.norm(b_rows - target, axis=1)
-    beta = _betas(b_rows, model)
-    rows = zip(states, ps, beta.tolist(), norm_a.tolist(), dist_b.tolist(),
-               _ratios(norm_a), _ratios(dist_b), _ratios(np.sin(beta)))
-    return tuple(PopStepRecord(t, *row) for t, row in enumerate(rows))
+    table = np.empty(len(states), dtype=record_dtype(model.dim))
+    table["t"] = np.arange(len(states))
+    table["a"] = [state.a for state in states]
+    table["b"] = [state.b for state in states]
+    table["p"] = ps
+    table["beta"] = _betas(table["b"], model)
+    table["sin_beta"] = np.sin(table["beta"])
+    table["norm_a"] = np.linalg.norm(table["a"], axis=1)
+    table["dist_b"] = np.linalg.norm(table["b"] - target, axis=1)
+    for ratio, field in zip(RATIO_FIELDS, ("norm_a", "dist_b", "sin_beta")):
+        table[ratio] = _ratios(table[field])
+    table.flags.writeable = False
+    return table
 
 
 def model2_step(
     state: ABState, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC
-) -> tuple[ABState, PopStepRecord]:
+) -> tuple[ABState, np.void]:
     """One population step of the free-means model in (a, b) coordinates.
 
-    Returns the new state together with the diagnostics record of the state
-    the step was taken from (the caller assigns step indices when iterating).
+    Returns the new state together with the diagnostics row of the state
+    the step was taken from (a one-row ``Trajectory.records`` table's row 0).
     b == 0 is absorbing: the step returns (0, 0) with p = 0.5.
     """
     if state.dim != model.dim:

@@ -335,6 +335,33 @@ class TestMainRunners:
         assert summary["final_dist_b"] < 1e-6
         assert summary["config"]["model"]["theta_star"] == [1.0, 0.3]
 
+    def test_free_run_cell_format(self, tmp_path):
+        """From b = 0 (absorbing, no angle) a free run has 2 rows: the angle
+        cells read nan, a missing ratio is an empty cell, and the summary's
+        last record index is a JSON int."""
+        cfg = _write_config(tmp_path, {
+            "model": {"d": 2, "theta_star": [1.0, 0.3]},
+            "init": {"a": [0.4, 0.1], "b": [0.0, 0.0]},
+        })
+        out = tmp_path / "out"
+        assert main(["run-population", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "trajectory.csv").read_text().splitlines()[3:]
+        assert lines[0] == (
+            "t,a_0,a_1,b_0,b_1,p,beta,sin_beta,norm_a,dist_b,ratio_a,ratio_b,ratio_sin"
+        )
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert len(rows) == 2
+        assert all(row["beta"] == row["sin_beta"] == "nan" for row in rows)
+        assert [rows[0][k] for k in ("ratio_a", "ratio_b", "ratio_sin")] == ["", "", ""]
+        assert rows[0]["t"] == "0" and rows[0]["a_0"] == "0.4" and rows[0]["p"] == "0.5"
+        # |a| falls to 0 (ratio 0.0); dist_b stays 0, so its ratio is missing
+        assert lines[2] == "1,0.0,0.0,0.0,0.0,0.5,nan,nan,0.0,0.0,0.0,,"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["steps"] == 2 and summary["converged"] is True
+        last = summary["last_record"]
+        assert type(last["t"]) is int and last["t"] == 1
+        assert last["norm_a"] == 0.0 and last["dist_b"] == 0.0
+
     def test_sample_run_with_data_dump(self, tmp_path):
         cfg = _write_config(
             tmp_path,

@@ -15,7 +15,6 @@ from emlab import (
     DegenerateWeights,
     InsufficientData,
     MixtureModel,
-    PopStepRecord,
     StopRule,
     Trajectory,
     concentration_check,
@@ -27,7 +26,10 @@ from emlab import (
     run_sample,
     sample_mixture,
 )
+from emlab.geometry import state_distance
+from emlab.population import RATIO_FIELDS, record_dtype
 
+NAN = math.nan
 MODEL = MixtureModel(2, [1.0, 0.0])
 INIT = ABState([0.1, 0.0], [0.4, 0.2])
 
@@ -44,27 +46,21 @@ def _result(n_ladder, final_error):
 
 
 def _toy_trajectory(ratio_bs, ratio_a=0.5, ratio_sin=0.5):
-    """Hand-built records with prescribed per-step ratios."""
-    state = ABState([0.0], [1.0])
-    records = []
-    for t, rb in enumerate(ratio_bs):
-        first = t == 0
-        records.append(
-            PopStepRecord(
-                t=t,
-                state=state,
-                p=0.5,
-                beta=0.1,
-                norm_a=0.5**t,
-                dist_b=0.5**t,
-                ratio_a=None if first else ratio_a,
-                ratio_b=None if first else rb,
-                ratio_sin=None if first else ratio_sin,
-            )
-        )
+    """A hand-built records table with prescribed per-step ratios; row 0
+    has none, as in a real run, and nan marks a missing ratio."""
+    n = len(ratio_bs)
+    records = np.zeros(n, dtype=record_dtype(1))
+    records["t"] = np.arange(n)
+    records["b"] = 1.0
+    records["p"] = 0.5
+    records["beta"] = 0.1
+    records["norm_a"] = records["dist_b"] = 0.5 ** np.arange(n)
+    records["ratio_a"], records["ratio_b"], records["ratio_sin"] = ratio_a, ratio_bs, ratio_sin
+    for field in RATIO_FIELDS:
+        records[field][0] = math.nan
     return Trajectory(
-        records=tuple(records),
-        final_state=state,
+        records=records,
+        final_state=ABState([0.0], [1.0]),
         converged=True,
         target=np.array([1.0]),
     )
@@ -93,7 +89,7 @@ class TestRateFit:
 
 class TestContractionEstimate:
     def test_clean_contraction(self):
-        est = contraction_estimate(_toy_trajectory([None, 0.5, 0.5, 0.5, 0.5, 0.5]))
+        est = contraction_estimate(_toy_trajectory([NAN, 0.5, 0.5, 0.5, 0.5, 0.5]))
         assert est.valid
         assert est.T0 == 0
         assert est.kappa_b == 0.5
@@ -102,26 +98,45 @@ class TestContractionEstimate:
 
     def test_burn_in_spike_moves_T0(self):
         """One ratio >= 1 at t=2 pushes the fitting window past it."""
-        est = contraction_estimate(_toy_trajectory([None, 0.5, 1.2, 0.5, 0.4, 0.5]))
+        est = contraction_estimate(_toy_trajectory([NAN, 0.5, 1.2, 0.5, 0.4, 0.5]))
         assert est.T0 == 2
         assert est.valid
         assert est.kappa_b == 0.5
 
+    def test_missing_ratio_moves_T0(self):
+        """A missing b-error ratio mid-run (nan at t = 3) counts as bad."""
+        est = contraction_estimate(_toy_trajectory([NAN, 0.5, 0.5, NAN, 0.4, 0.5]))
+        assert est.T0 == 3
+        assert est.valid
+        assert est.kappa_b == 0.5
+
+    @pytest.mark.filterwarnings("error")
+    def test_all_missing_sine_ratios_leave_kappa_sin_nan(self):
+        """A tail without any sine ratio (beta undefined) gives kappa_sin
+        nan, and the estimate stays valid on its b-error ratios."""
+        est = contraction_estimate(
+            _toy_trajectory([NAN, 0.5, 0.5, 0.5, 0.5, 0.5], ratio_sin=NAN)
+        )
+        assert est.valid
+        assert est.T0 == 0
+        assert math.isnan(est.kappa_sin)
+        assert est.kappa_b == 0.5
+
     def test_divergent_tail_is_invalid(self):
-        est = contraction_estimate(_toy_trajectory([None, 1.1, 1.2, 1.1, 1.3, 1.5]))
+        est = contraction_estimate(_toy_trajectory([NAN, 1.1, 1.2, 1.1, 1.3, 1.5]))
         assert not est.valid
         assert math.isnan(est.kappa_b)
 
     def test_noncontracting_midpoint_invalidates(self):
         est = contraction_estimate(
-            _toy_trajectory([None, 0.5, 0.5, 0.5, 0.5, 0.5], ratio_a=1.5)
+            _toy_trajectory([NAN, 0.5, 0.5, 0.5, 0.5, 0.5], ratio_a=1.5)
         )
         assert not est.valid
         assert est.kappa_a == 1.5
 
     def test_needs_five_records(self):
         with pytest.raises(InsufficientData):
-            contraction_estimate(_toy_trajectory([None, 0.5, 0.5]))
+            contraction_estimate(_toy_trajectory([NAN, 0.5, 0.5]))
 
     def test_on_a_real_run(self):
         traj = run(INIT, MODEL, StopRule(max_iters=500, step_tol=1e-8))
@@ -156,12 +171,15 @@ class TestCoupledRun:
 
     def test_sup_dominates_every_step(self):
         sample_traj, pop_traj, sup = coupled_run(INIT, MODEL, 2000, 8, 5)
-        for rs, rp in zip(sample_traj.records, pop_traj.records):
-            gap = math.hypot(
-                float(np.linalg.norm(rs.state.a - rp.state.a)),
-                float(np.linalg.norm(rs.state.b - rp.state.b)),
-            )
-            assert gap <= sup
+        rs, rp = sample_traj.records, pop_traj.records
+        gaps = [
+            state_distance(ABState(rs["a"][t], rs["b"][t]), ABState(rp["a"][t], rp["b"][t]))
+            for t in range(len(rs))
+        ]
+        # sup comes from one row-norm pass, which may round the last bit
+        # differently from the one-state distance
+        assert sup == pytest.approx(max(gaps), rel=1e-15, abs=0.0)
+        assert all(gap <= sup * (1.0 + 1e-15) for gap in gaps)
 
 
 class TestConsistencyLadder:

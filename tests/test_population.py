@@ -11,7 +11,6 @@ from emlab import (
     ABState,
     DimensionMismatch,
     MixtureModel,
-    PopStepRecord,
     StopRule,
     a_priori_bounds,
     angle_beta,
@@ -36,15 +35,15 @@ class TestStepStructure:
         state = ABState([0.0, 0.0], [0.6, -0.2])
         new, rec = model2_step(state, MODEL)
         assert np.all(new.a == 0.0)
-        assert rec.p == 0.5
+        assert rec["p"] == 0.5
         np.testing.assert_array_equal(new.b, model1_step(np.array([0.6, -0.2]), MODEL))
 
     def test_zero_separation_is_absorbing(self):
         new, rec = model2_step(ABState([0.4, 0.1], [0.0, 0.0]), MODEL)
         assert np.all(new.a == 0.0)
         assert np.all(new.b == 0.0)
-        assert rec.p == 0.5
-        assert math.isnan(rec.beta)
+        assert rec["p"] == 0.5
+        assert math.isnan(rec["beta"])
 
     def test_sign_flip_equivariance(self):
         """Negating b negates the b-update and leaves the a-update alone."""
@@ -91,17 +90,17 @@ class TestRun:
         traj = run(ABState([0.0, 0.0], MODEL.theta_star.copy()), MODEL)
         assert traj.converged
         assert len(traj.records) == 1
-        assert traj.records[0].t == 0
-        assert traj.records[0].ratio_a is None
+        assert traj.records["t"][0] == 0
+        assert math.isnan(traj.records["ratio_a"][0])
         assert np.linalg.norm(traj.final_state.b - MODEL.theta_star) <= 1e-10
 
     def test_budget_exhaustion_appends_final_record(self):
         stop = StopRule(max_iters=3, step_tol=1e-300)
         traj = run(ABState([0.1, 0.0], [0.4, 0.1]), MODEL, stop)
         assert not traj.converged
-        assert [r.t for r in traj.records] == [0, 1, 2, 3]
-        np.testing.assert_array_equal(traj.records[-1].state.a, traj.final_state.a)
-        np.testing.assert_array_equal(traj.records[-1].state.b, traj.final_state.b)
+        assert traj.records["t"].tolist() == [0, 1, 2, 3]
+        np.testing.assert_array_equal(traj.records["a"][-1], traj.final_state.a)
+        np.testing.assert_array_equal(traj.records["b"][-1], traj.final_state.b)
 
     def test_converges_to_signed_target(self):
         """A negatively aligned start converges to -theta_star."""
@@ -116,7 +115,7 @@ class TestRun:
         the 1e-8 plateau a cancellation-prone angle computation would show."""
         model = MixtureModel(2, [1.0, 0.0])
         traj = run(ABState([0.05, 0.02], [0.4, 0.3]), model, StopRule(2000, 1e-12))
-        sins = traj.series("sin_beta")
+        sins = traj.records["sin_beta"]
         assert np.all(np.diff(sins) <= 1e-12)
         assert sins[-1] <= 1e-9
 
@@ -127,8 +126,8 @@ class TestRun:
         traj = run(ABState([0.1, 0.0], [0.4, 0.1]), MODEL, StopRule(200, 0.0))
         last = traj.records[-1]
         assert np.linalg.norm(traj.final_state.b - MODEL.theta_star) <= 1e-13
-        assert last.dist_b <= 1e-13
-        assert last.sin_beta <= 1e-13
+        assert last["dist_b"] <= 1e-13
+        assert last["sin_beta"] <= 1e-13
 
     def test_iterates_stay_in_initial_span(self):
         model = MixtureModel(4, [1.0, 0.5, 0.0, 0.0])
@@ -138,7 +137,7 @@ class TestRun:
         traj = run(
             ABState([0.1, 0.0, 0.05, 0.2], b0), model, StopRule(40, 1e-300)
         )
-        worst = max(float(np.linalg.norm(off_span @ r.state.b)) for r in traj.records)
+        worst = max(float(np.linalg.norm(off_span @ b)) for b in traj.records["b"])
         assert worst <= 1e-12
 
     def test_orthogonal_start_stays_orthogonal(self):
@@ -148,7 +147,7 @@ class TestRun:
         init = ABState([0.3, 0.1, -0.2], [0.0, 0.5, 0.4])
         traj = run(init, model, StopRule(100, 0.0))
         assert len(traj.records) == 101 and not traj.converged
-        dots = [float(r.state.b @ model.theta_star) for r in traj.records]
+        dots = [float(b @ model.theta_star) for b in traj.records["b"]]
         assert all(v == 0.0 for v in dots)
         assert float(traj.final_state.b @ model.theta_star) == 0.0
 
@@ -157,45 +156,48 @@ class TestRun:
         takes every step of the budget."""
         traj = run(ABState([0.0, 0.0], MODEL.theta_star.copy()), MODEL, StopRule(5, 0.0))
         assert not traj.converged
-        assert [r.t for r in traj.records] == [0, 1, 2, 3, 4, 5]
+        assert traj.records["t"].tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_series_and_rows(self):
         traj = run(ABState([0.1, 0.0], [0.4, 0.1]), MODEL, StopRule(3, 1e-300))
-        assert traj.series("norm_a").shape == (4,)
-        assert traj.records[0].ratio_a is None  # no ratio at t = 0
-        assert traj.records[1].ratio_a is not None
+        assert traj.records["norm_a"].shape == (4,)
+        assert math.isnan(traj.records["ratio_a"][0])  # no ratio at t = 0
+        assert not math.isnan(traj.records["ratio_a"][1])
+        with pytest.raises(ValueError, match="read-only"):
+            traj.records["norm_a"][1] = 0.0
 
 
 def _per_record_ratio(curr, prev):
-    """The ratio rule stated record by record: None unless both values are
+    """The ratio rule stated record by record: nan unless both values are
     finite and the previous one is positive."""
     if not (math.isfinite(prev) and prev > 0.0 and math.isfinite(curr)):
-        return None
+        return math.nan
     return curr / prev
 
 
 class TestDiagnostics:
-    """The records come from one array pass over the stacked iterates; each
-    must match what the record's own state gives."""
+    """The records table is filled column by column from the stacked
+    iterates; each row must match what its own state gives."""
 
     @staticmethod
     def _check(traj, model):
-        for r in traj.records:
-            assert abs(r.norm_a - float(np.linalg.norm(r.state.a))) <= 1e-15
-            assert abs(r.dist_b - float(np.linalg.norm(r.state.b - traj.target))) <= 1e-15
-            assert abs(r.beta - angle_beta(planar_reduce(r.state, model))) <= 1e-15
-        first = traj.records[0]
-        assert (first.ratio_a, first.ratio_b, first.ratio_sin) == (None, None, None)
-        for prev, r in zip(traj.records, traj.records[1:]):
-            for got, curr, before in (
-                (r.ratio_a, r.norm_a, prev.norm_a),
-                (r.ratio_b, r.dist_b, prev.dist_b),
-                (r.ratio_sin, r.sin_beta, prev.sin_beta),
-            ):
-                expected = _per_record_ratio(curr, before)
-                assert (got is None) == (expected is None)
-                if expected is not None:
-                    assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+        r = traj.records
+        states = [ABState(a, b) for a, b in zip(r["a"], r["b"])]
+        for column, expected in (
+            ("norm_a", [np.linalg.norm(s.a) for s in states]),
+            ("dist_b", [np.linalg.norm(s.b - traj.target) for s in states]),
+            ("beta", [angle_beta(planar_reduce(s, model)) for s in states]),
+        ):
+            np.testing.assert_allclose(r[column], expected, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(
+            r["sin_beta"], [math.sin(v) for v in r["beta"].tolist()], rtol=1e-15, atol=0.0
+        )
+        pairs = (("ratio_a", "norm_a"), ("ratio_b", "dist_b"), ("ratio_sin", "sin_beta"))
+        for ratio, field in pairs:
+            values = r[field].tolist()
+            expected = [math.nan] + [_per_record_ratio(c, p) for p, c in zip(values, values[1:])]
+            # nan (a missing ratio) must sit exactly where the rule puts it
+            np.testing.assert_allclose(r[ratio], expected, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_records_match_their_states(self, d):
@@ -214,15 +216,15 @@ class TestDiagnostics:
     def test_zero_theta_star_has_no_angle(self):
         model = MixtureModel(2, [0.0, 0.0])
         traj = run(ABState([0.1, 0.0], [0.4, 0.3]), model, StopRule(10, 0.0))
-        assert all(math.isnan(r.beta) and math.isnan(r.sin_beta) for r in traj.records)
-        assert all(r.ratio_sin is None for r in traj.records)
+        for column in ("beta", "sin_beta", "ratio_sin"):
+            assert np.all(np.isnan(traj.records[column]))
 
     @pytest.mark.filterwarnings("error")
     def test_zero_separation_rows_have_no_angle(self):
         traj = run(ABState([0.4, 0.1], [0.0, 0.0]), MODEL)
         assert traj.converged and len(traj.records) == 2
-        assert all(math.isnan(r.beta) for r in traj.records)
-        assert all(r.ratio_sin is None for r in traj.records)
+        assert np.all(np.isnan(traj.records["beta"]))
+        assert np.all(np.isnan(traj.records["ratio_sin"]))
 
     @pytest.mark.parametrize("stop", [StopRule(200, 1e-10), StopRule(6, 0.0)])
     def test_each_iterate_is_reduced_once(self, monkeypatch, stop):
@@ -280,9 +282,9 @@ class TestRunModel1:
         iters = run_model1(theta0, model, stop)
         traj = run(ABState(np.zeros(d), theta0), model, stop)
         assert traj.converged
-        free_b = [r.state.b for r in traj.records] + [traj.final_state.b]
-        np.testing.assert_array_equal(iters, np.array(free_b))
-        assert all(np.all(r.state.a == 0.0) and r.p == 0.5 for r in traj.records)
+        free_b = np.vstack([traj.records["b"], traj.final_state.b])
+        np.testing.assert_array_equal(iters, free_b)
+        assert np.all(traj.records["a"] == 0.0) and np.all(traj.records["p"] == 0.5)
         np.testing.assert_array_equal(traj.final_state.a, np.zeros(d))
 
 
@@ -317,9 +319,9 @@ class TestAPrioriBounds:
         init = ABState([0.2, 0.1], [0.3, 0.4])
         bounds = a_priori_bounds(init, model)
         traj = run(init, model, StopRule(200, 1e-300))
-        for r in traj.records:
-            assert np.linalg.norm(r.state.a) <= bounds.c_u1 + 1e-12
-            assert np.linalg.norm(r.state.b) <= bounds.c_u3 + 1e-12
+        for a, b in zip(traj.records["a"], traj.records["b"]):
+            assert np.linalg.norm(a) <= bounds.c_u1 + 1e-12
+            assert np.linalg.norm(b) <= bounds.c_u3 + 1e-12
 
 
 class TestValidation:
@@ -332,25 +334,3 @@ class TestValidation:
             StopRule(step_tol=float("nan"))
         with pytest.raises(ValueError):
             StopRule(max_iters=2.0)
-
-    def test_record_rejects_boundary_mass(self):
-        with pytest.raises(ValueError):
-            PopStepRecord(
-                t=0,
-                state=ABState([0.0], [1.0]),
-                p=0.0,
-                beta=0.0,
-                norm_a=0.0,
-                dist_b=0.0,
-            )
-
-    def test_sin_beta_of_undefined_angle(self):
-        rec = PopStepRecord(
-            t=0,
-            state=ABState([0.0], [1.0]),
-            p=0.5,
-            beta=float("nan"),
-            norm_a=0.0,
-            dist_b=0.0,
-        )
-        assert math.isnan(rec.sin_beta)

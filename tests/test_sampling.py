@@ -273,8 +273,8 @@ class TestRunSample:
         stop = StopRule(max_iters=4, step_tol=1e-300)
         traj = run_sample(ABState([0.1, 0.0], [0.4, 0.2]), data, stop)
         assert not traj.converged
-        assert [r.t for r in traj.records] == [0, 1, 2, 3, 4]
-        np.testing.assert_array_equal(traj.records[-1].state.b, traj.final_state.b)
+        assert traj.records["t"].tolist() == [0, 1, 2, 3, 4]
+        np.testing.assert_array_equal(traj.records["b"][-1], traj.final_state.b)
 
     def test_converged_run_stops_early(self):
         data = sample_mixture(MODEL_2D, 5000, 8)

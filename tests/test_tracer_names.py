@@ -1,10 +1,16 @@
 """The benchmark tracer (perfbench/spans.py) wraps emlab functions by module
 and name, so every name it wraps must stay importable from that module, and
-``restore`` must put each original back."""
+``restore`` must put each original back.  Its step tallies read the
+``Trajectory`` a run returns, so they must count what the CLI summary counts."""
 
 import importlib
 import sys
 from pathlib import Path
+
+import pytest
+
+from emlab import ABState, MixtureModel, StopRule, run, run_sample, sample_mixture
+from emlab.cli import _trajectory_summary
 
 _PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 if _PERFBENCH not in sys.path:
@@ -30,3 +36,23 @@ def test_install_wraps_every_name_and_restore_puts_each_back():
         restore()
     assert wrapped == list(originals)
     assert all(_lookup(*key) is fn for key, fn in originals.items())
+
+
+@pytest.mark.parametrize("stop", [StopRule(200, 1e-10), StopRule(6, 0.0)])
+def test_step_tallies_match_the_summary_step_count(stop):
+    model = MixtureModel(2, [1.0, 0.3])
+    init = ABState([0.1, 0.0], [0.4, 0.1])
+    data = sample_mixture(model, 500, 3)
+    traj, straj = run(init, model, stop), run_sample(init, data, stop)
+    steps, sample_steps = (_trajectory_summary(t)["steps"] for t in (traj, straj))
+    if stop.step_tol == 0.0:
+        assert steps == sample_steps == stop.max_iters
+    else:
+        assert traj.converged and 0 < steps < stop.max_iters
+    tracer = spans.Tracer()
+    tracer._population_steps(traj, (init, model, stop), 0.0)
+    tracer._sample_steps(straj, (init, data, stop), 0.0)
+    assert spans._run_steps(traj) == steps
+    assert tracer.counts["population.steps"] == steps
+    assert tracer.counts["sampling.steps"] == sample_steps
+    assert tracer.counts["sampling.point_steps"] == data.n * sample_steps
