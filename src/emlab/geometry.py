@@ -42,7 +42,7 @@ def _as_vector(value, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureModel:
     """Ground truth: dimension and the true half-separation vector."""
 
@@ -65,7 +65,7 @@ class MixtureModel:
         return float(np.linalg.norm(self.theta_star))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanPair:
     """A pair of component mean estimates."""
 
@@ -83,7 +83,7 @@ class MeanPair:
         object.__setattr__(self, "mu2", v2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ABState:
     """Centered coordinates: a = midpoint error, b = half-separation."""
 

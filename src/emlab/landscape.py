@@ -20,7 +20,8 @@ the posterior-weighted residual pair
     grad_mu2 G = E[(1 - v)(Y - mu2)] = q - mu2 p,
 
 where p = E[w], q = E[w Y] are exactly the scalars driving the population
-update, so the gradient reuses that planar reduction.  Hessians are central
+update, so the gradient takes one population step and reads q = b+ 2p(1-p)
+off it (b == 0 needs no branch: p = 1/2, b+ = 0).  Hessians are central
 finite differences of the gradient (step 1e-4); classification compares the
 eigenvalue signs against a 1e-6 tolerance.
 """
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ABState, MeanPair, MixtureModel, planar_reduce, state_distance, to_ab
-from .population import _planar_p_q, model2_step
+from .population import _one_step, model2_step
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_against_mixture
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -50,7 +51,7 @@ class Classification(enum.Enum):
     UNRESOLVED = "UNRESOLVED"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationaryReport:
     """Gradient norm, Hessian spectrum, and sign-based classification."""
 
@@ -101,11 +102,8 @@ def grad_G(
         raise ValueError(
             f"means have dimension {state.dim}, model has {model.dim}"
         )
-    if float(np.linalg.norm(state.b)) == 0.0:
-        # weights are identically 1/2: E[v Y] = 0, so the residual is -mu/2.
-        return -0.5 * means.mu1, -0.5 * means.mu2
-    coords = planar_reduce(state, model)
-    p, q_vec = _planar_p_q(coords, spec)
+    new_state, p = _one_step(state, model, spec)
+    q_vec = new_state.b * (2.0 * p * (1.0 - p))  # b+ = q / (2p(1-p))
     return -q_vec - means.mu1 * (1.0 - p), q_vec - means.mu2 * p
 
 

@@ -2,29 +2,33 @@
 
 Model 1 estimates a single vector theta (component means locked to ±theta);
 Model 2 estimates free means, tracked here in centered (a, b) coordinates.
-Each step is evaluated exactly on span(b, theta_star) via the planar
-reduction and one call of the kernel core (P, Gamma, S) = kernel_pgs:
+After one step every iterate lies in span(b_0, theta_star), so a run reduces
+its start once (``planar_reduce``): to the orthonormal frame e1 = b_0/||b_0||,
+u2 = theta_perp/theta2 (zero when theta2 == 0) and the plane state of five
+floats (x_a, <a_0, u2>, ||part of a_0 off the plane||, ||b_0||, 0).  A step
+on plain floats, with e = b/||b||, theta1 = <theta_star, e> and one call of
+the kernel core (P, Gamma, S) = kernel_pgs, is
 
-    p  = P(x_a, ||b||, theta1)
-    q  = Gamma(x_a, ||b||, theta1) e1  +  S(x_a, ||b||, theta1) theta_perp
-    a+ = q (1 - 2p) / (2p(1-p))
-    b+ = q / (2p(1-p))
+    p  = P(<a, e>, ||b||, theta1)
+    q  = Gamma e  +  S (theta_star - theta1 e)
+    a+ = q (1 - 2p) / (2p(1-p)),   b+ = q / (2p(1-p)),
 
-Model 1 is the a = 0 slice, where p = 1/2 and a+ = 0 are set exactly.
-``model1_step`` is the free-means step taken from (0, theta), so
-``model2_step`` at a = 0 reproduces it bit-for-bit.  A step whose p leaves
-(1e-15, 1 - 1e-15) raises DegenerateWeights.  ``run``, ``run_sample`` and
-``run_model1`` share one stop rule and one iteration driver, which carries
-only the iterates and their p; the diagnostics table (``Trajectory``) is
-filled afterwards column by column from the stacked iterates, so each
-iterate is reduced once (by its step) and a sample run not at all.
+and moves the state by the distance of the two plane states (the off-plane
+part of a_0 counts in the first).  ``run`` lifts the visited states to d
+dimensions once, elementwise, with row 0 the init itself, then fills the
+diagnostics table (``Trajectory``) column by column.  Model 1 is the a = 0
+slice, where p = 1/2 and a+ = 0 are set exactly: ``run_model1`` is ``run``
+from (0, theta), so ``model2_step`` at a = 0 reproduces ``model1_step`` bit
+for bit.  A step whose p leaves (1e-15, 1 - 1e-15) raises DegenerateWeights.
+``run`` and ``run_sample`` share one stop rule and one iteration driver; a
+sample run reduces nothing.
 
 Exactness guarantees (no thresholding involved):
   * <a, b> == 0.0 implies p = 0.5 and a+ = 0 exactly;
   * x_theta == 0 slices (b exactly orthogonal to theta_star, constructed in
     orthogonal coordinates) give S == 0.0 and so q == Gamma e1 bit for bit,
-    which keeps <b+, theta_star> == 0.0 exactly, and there
-    Gamma(0, x_b, 0) == F(x_b, 0) / 2 bit for bit;
+    which keeps b on the e1 axis and <b+, theta_star> == 0.0 exactly, and
+    there Gamma(0, x_b, 0) == F(x_b, 0) / 2 bit for bit;
   * b == 0 maps to the absorbing state (0, 0) with p = 0.5.
 """
 
@@ -37,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateWeights, DimensionMismatch
-from .geometry import ABState, MixtureModel, PlanarCoords, _split_theta, planar_reduce, state_distance
+from .geometry import ABState, MixtureModel, _split_theta, planar_reduce
 from .kernels import kernel_pgs
 # not called here; kept importable because the benchmark tracer (perfbench/spans.py) wraps them
 from .kernels import kernel_f, kernel_gamma, kernel_p, kernel_s  # noqa: F401
@@ -51,8 +55,8 @@ class StopRule:
     """Iteration budget and step-size threshold.
 
     A run stops after the first step that moves the (a, b) state by less
-    than ``step_tol`` (``state_distance``), or after ``max_iters`` steps;
-    ``step_tol = 0.0`` runs the whole budget.
+    than ``step_tol`` (Euclidean distance of the stacked pair), or after
+    ``max_iters`` steps; ``step_tol = 0.0`` runs the whole budget.
     """
 
     max_iters: int = 10_000
@@ -79,7 +83,7 @@ def record_dtype(dim: int) -> np.dtype:
                     + [(name, float) for name in scalars])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Visited iterates plus the exact final state of a run.
 
@@ -103,51 +107,79 @@ class Trajectory:
         return len(self.records)
 
 
-def _planar_p_q(coords: PlanarCoords, spec: QuadratureSpec) -> tuple[float, np.ndarray]:
-    """Posterior mass p and the vector q = E[w Y] for a reduced state.
+def _plane(state: ABState, model: MixtureModel) -> tuple:
+    """The frame of ``state`` and its plane state, from one ``planar_reduce``.
 
-    One kernel-core call; p is set to exactly 1/2 on the x_a == 0 slice,
-    where the two lobe sums of P cancel only up to rounding.
+    Returns e1 = b/||b||, u2 = theta_perp/theta2 (zero when theta2 == 0),
+    theta_star's coordinates (theta1, theta2) and the plane state
+    (x_a, <a, u2>, ||part of a off the plane||, ||b||, 0).  b == 0 has no
+    frame: e1 = u2 = 0 and all of a lies off the plane.
     """
-    p, q1, s = kernel_pgs(coords.x_a, coords.norm_b, coords.theta1, spec)
-    if coords.x_a == 0.0:
-        p = 0.5
-    return p, q1 * coords.e1 + s * coords.theta_perp
+    if state.dim != model.dim:
+        raise DimensionMismatch(f"state has dimension {state.dim}, model has {model.dim}")
+    if float(np.linalg.norm(state.b)) == 0.0:
+        zero = np.zeros(model.dim)
+        return zero, zero, (0.0, 0.0), (0.0, 0.0, float(np.linalg.norm(state.a)), 0.0, 0.0)
+    coords = planar_reduce(state, model)
+    e1 = coords.e1
+    u2 = coords.theta_perp / coords.theta2 if coords.theta2 > 0.0 else np.zeros(model.dim)
+    a2 = float(state.a @ u2)
+    off = float(np.linalg.norm(state.a - coords.x_a * e1 - a2 * u2))
+    return e1, u2, (coords.theta1, coords.theta2), (coords.x_a, a2, off, coords.norm_b, 0.0)
+
+
+def _step(z: tuple, theta: tuple, spec: QuadratureSpec) -> tuple[tuple, float]:
+    """One free-means step on the plane state ``z`` against theta_star's
+    coordinates ``theta``; returns the next plane state and p at ``z``."""
+    a1, a2, _, b1, b2 = z
+    norm_b = math.hypot(b1, b2)
+    if norm_b == 0.0:
+        return (0.0, 0.0, 0.0, 0.0, 0.0), 0.5
+    c, s = b1 / norm_b, b2 / norm_b
+    x_a = a1 * c + a2 * s
+    theta1 = theta[0] * c + theta[1] * s
+    p, gamma, s_kernel = kernel_pgs(x_a, norm_b, theta1, spec)
+    if x_a == 0.0:
+        p = 0.5  # the two lobe sums of P cancel only up to rounding
+    if not _P_INTERIOR < p < 1.0 - _P_INTERIOR:
+        raise DegenerateWeights(
+            f"posterior mass p = {p!r} outside (1e-15, 1 - 1e-15) at x_a = {x_a!r}, "
+            f"||b|| = {norm_b!r}, theta1 = {theta1!r}"
+        )
+    # q = Gamma e1 + S theta_perp in the frame
+    q1 = gamma * c + s_kernel * (theta[0] - theta1 * c)
+    q2 = gamma * s + s_kernel * (theta[1] - theta1 * s)
+    denom = 2.0 * p * (1.0 - p)
+    ratio = (1.0 - 2.0 * p) / denom
+    a_new = (0.0, 0.0) if x_a == 0.0 else (q1 * ratio, q2 * ratio)
+    return (*a_new, 0.0, q1 / denom, q2 / denom), p
+
+
+def _lift(x, y, e1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """x e1 + y u2 elementwise, not by a matrix product, so no BLAS kernel
+    picks the bytes; + 0.0 turns the -0.0 of 0.0 times a negative entry into
+    0.0."""
+    return x * e1 + y * u2 + 0.0
+
+
+def _one_step(state: ABState, model: MixtureModel, spec: QuadratureSpec) -> tuple[ABState, float]:
+    """The step from a d-dimensional state, lifted back; and p at ``state``."""
+    e1, u2, theta, z = _plane(state, model)
+    (a1, a2, _, b1, b2), p = _step(z, theta, spec)
+    return ABState(_lift(a1, a2, e1, u2), _lift(b1, b2, e1, u2)), p
 
 
 def posterior_mass(state: ABState, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """The scalar p for one step taken from ``state``; exactly 0.5 whenever
     <a, b> == 0 (in particular for b == 0)."""
-    return _step_core(state, model, spec)[1]
-
-
-def _step_core(
-    state: ABState, model: MixtureModel, spec: QuadratureSpec
-) -> tuple[ABState, float]:
-    if float(np.linalg.norm(state.b)) == 0.0:
-        zero = np.zeros(model.dim)
-        return ABState(zero, zero), 0.5
-    coords = planar_reduce(state, model)
-    p, q_vec = _planar_p_q(coords, spec)
-    if not _P_INTERIOR < p < 1.0 - _P_INTERIOR:
-        raise DegenerateWeights(
-            f"posterior mass p = {p!r} outside (1e-15, 1 - 1e-15) at x_a = {coords.x_a!r}, "
-            f"||b|| = {coords.norm_b!r}, theta1 = {coords.theta1!r}"
-        )
-    denom = 2.0 * p * (1.0 - p)
-    if coords.x_a == 0.0:
-        a_new = np.zeros(model.dim)
-    else:
-        a_new = q_vec * ((1.0 - 2.0 * p) / denom)
-    b_new = q_vec / denom
-    return ABState(a_new, b_new), p
+    return _one_step(state, model, spec)[1]
 
 
 def model1_step(theta, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
     """One population step of the locked-means model: the b part of the
     free-means step from (0, theta), whose midpoint stays exactly 0; 0 maps
     to 0."""
-    return _step_core(ABState(np.zeros(model.dim), theta), model, spec)[0].b
+    return _one_step(ABState(np.zeros(model.dim), theta), model, spec)[0].b
 
 
 def _betas(b_rows: np.ndarray, model: MixtureModel) -> np.ndarray:
@@ -171,15 +203,13 @@ def _ratios(values: np.ndarray) -> np.ndarray:
     return ratio
 
 
-def _records(
-    states: list[ABState], ps: list[float], target: np.ndarray, model: MixtureModel
-) -> np.ndarray:
+def _records(a_rows, b_rows, ps: list[float], target: np.ndarray, model: MixtureModel) -> np.ndarray:
     """The diagnostics table of every iterate, from one pass over the stack;
-    row t is ``states[t]`` with its mass ``ps[t]``."""
-    table = np.empty(len(states), dtype=record_dtype(model.dim))
-    table["t"] = np.arange(len(states))
-    table["a"] = [state.a for state in states]
-    table["b"] = [state.b for state in states]
+    row t is the state (``a_rows[t]``, ``b_rows[t]``) with its mass ``ps[t]``."""
+    table = np.empty(len(ps), dtype=record_dtype(model.dim))
+    table["t"] = np.arange(len(ps))
+    table["a"] = a_rows
+    table["b"] = b_rows
     table["p"] = ps
     table["beta"] = _betas(table["b"], model)
     table["sin_beta"] = np.sin(table["beta"])
@@ -191,6 +221,14 @@ def _records(
     return table
 
 
+def _trajectory(a_rows, b_rows, ps: list[float], converged: bool, model: MixtureModel) -> Trajectory:
+    """A run's visited iterates, row 0 its init and the last row its final
+    state, as a ``Trajectory`` whose records are the rows that have a p."""
+    k, target = len(ps), _sign_target(b_rows[0], model)
+    final_state = ABState(a_rows[-1], b_rows[-1])
+    return Trajectory(_records(a_rows[:k], b_rows[:k], ps, target, model), final_state, converged, target)
+
+
 def model2_step(
     state: ABState, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> tuple[ABState, np.void]:
@@ -200,12 +238,8 @@ def model2_step(
     the step was taken from (a one-row ``Trajectory.records`` table's row 0).
     b == 0 is absorbing: the step returns (0, 0) with p = 0.5.
     """
-    if state.dim != model.dim:
-        raise DimensionMismatch(
-            f"state has dimension {state.dim}, model has {model.dim}"
-        )
-    new_state, p = _step_core(state, model, spec)
-    return new_state, _records([state], [p], _sign_target(state.b, model), model)[0]
+    new_state, p = _one_step(state, model, spec)
+    return new_state, _records([state.a], [state.b], [p], _sign_target(state.b, model), model)[0]
 
 
 def _sign_target(b: np.ndarray, model: MixtureModel) -> np.ndarray:
@@ -219,47 +253,26 @@ def _sign_target(b: np.ndarray, model: MixtureModel) -> np.ndarray:
     return np.zeros(model.dim)
 
 
-def _drive(
-    init: ABState,
-    stop: StopRule,
-    step: Callable[[ABState], tuple[ABState, float]],
-    mass_at: Callable[[ABState], float],
-) -> tuple[list[ABState], list[float], ABState, bool]:
-    """The EM iteration loop behind ``run``, ``run_sample`` and ``run_model1``.
+def _drive(init, stop: StopRule, step: Callable, distance: Callable) -> tuple[list, list[float], bool]:
+    """The EM iteration loop behind ``run`` and ``run_sample``.
 
     ``step(state)`` returns the next state and the posterior mass p at
-    ``state``.  Returns the iterates a step was taken from, their p, the
-    final state and whether the stop rule's step-size test ended the run; a
-    run that exhausts the budget also lists its last iterate, with p =
-    ``mass_at(state)``.
+    ``state``; ``distance`` measures how far a step moved.  Returns every
+    visited state (the last is the final state), the p of each state a step
+    was taken from, and whether the stop rule's step-size test ended the run;
+    a run that exhausts the budget also lists the p of its final state, from
+    one more step.
     """
-    states: list[ABState] = []
-    ps: list[float] = []
-    state = init
+    states, ps = [init], []
     for _ in range(stop.max_iters):
-        new_state, p = step(state)
-        states.append(state)
+        new_state, p = step(states[-1])
         ps.append(p)
-        moved = state_distance(new_state, state)
-        state = new_state
+        moved = distance(new_state, states[-1])
+        states.append(new_state)
         if stop.converged(moved):
-            return states, ps, state, True
-    states.append(state)
-    ps.append(mass_at(state))
-    return states, ps, state, False
-
-
-def _trajectory(
-    init: ABState,
-    model: MixtureModel,
-    stop: StopRule,
-    step: Callable[[ABState], tuple[ABState, float]],
-    mass_at: Callable[[ABState], float],
-) -> Trajectory:
-    """``_drive``, then a diagnostics record for every visited iterate."""
-    target = _sign_target(init.b, model)
-    states, ps, final_state, converged = _drive(init, stop, step, mass_at)
-    return Trajectory(_records(states, ps, target, model), final_state, converged, target)
+            return states, ps, True
+    ps.append(step(states[-1])[1])
+    return states, ps, False
 
 
 def run(
@@ -276,17 +289,12 @@ def run(
     yields a single record).  When the budget is exhausted, the last iterate
     is appended as a final record.
     """
-    if init.dim != model.dim:
-        raise DimensionMismatch(
-            f"init has dimension {init.dim}, model has {model.dim}"
-        )
-    return _trajectory(
-        init,
-        model,
-        stop,
-        lambda state: _step_core(state, model, spec),
-        lambda state: posterior_mass(state, model, spec),
-    )
+    e1, u2, theta, z0 = _plane(init, model)
+    zs, ps, converged = _drive(z0, stop, lambda z: _step(z, theta, spec), math.dist)
+    z = np.array(zs)
+    a_rows, b_rows = _lift(z[:, :1], z[:, 1:2], e1, u2), _lift(z[:, 3:4], z[:, 4:5], e1, u2)
+    a_rows[0], b_rows[0] = init.a, init.b
+    return _trajectory(a_rows, b_rows, ps, converged, model)
 
 
 def run_model1(
@@ -296,17 +304,14 @@ def run_model1(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> np.ndarray:
     """Iterate the locked-means population step; returns the (k+1, d) array
-    of all visited iterates including the final one."""
+    of all visited iterates including the final one: the b rows of ``run``
+    from (0, theta0)."""
     theta = np.asarray(theta0, dtype=float)
     if theta.shape != (model.dim,):
         raise ValueError(f"theta0 must have shape ({model.dim},), got {theta.shape}")
-    states, _, final_state, converged = _drive(
-        ABState(np.zeros(model.dim), theta),
-        stop,
-        lambda state: _step_core(state, model, spec),
-        lambda state: 0.5,  # exact on the a = 0 slice, and unused here
-    )
-    return np.array([state.b for state in states] + ([final_state.b] if converged else []))
+    traj = run(ABState(np.zeros(model.dim), theta), model, stop, spec)
+    b_rows = traj.records["b"]
+    return np.vstack([b_rows, traj.final_state.b]) if traj.converged else np.array(b_rows)
 
 
 class APrioriBounds(NamedTuple):

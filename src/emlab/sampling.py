@@ -46,9 +46,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateWeights, DimensionMismatch
-from .geometry import ABState, MeanPair, MixtureModel, from_ab, to_ab
+from .geometry import ABState, MeanPair, MixtureModel, from_ab, state_distance, to_ab
 from .landscape import _log_cosh
-from .population import _P_INTERIOR, StopRule, Trajectory, _trajectory
+from .population import _P_INTERIOR, StopRule, Trajectory, _drive, _trajectory
 
 # rows per block: 16384 at d = 2, 4096 at d = 8
 _BLOCK_BYTES = 1 << 18
@@ -302,10 +302,5 @@ def run_sample(
         step = _FORMS[form]
     except KeyError:
         raise ValueError(f"form must be one of {sorted(_FORMS)}, got {form!r}") from None
-    return _trajectory(
-        init,
-        data.model,
-        stop,
-        lambda state: step(state, data),
-        lambda state: _posterior(data, state)[2],
-    )
+    states, ps, converged = _drive(init, stop, lambda state: step(state, data), state_distance)
+    return _trajectory([s.a for s in states], [s.b for s in states], ps, converged, data.model)

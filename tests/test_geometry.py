@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 
 from emlab import (
     ABState,
+    Classification,
     DegenerateState,
     DimensionMismatch,
     MeanPair,
     MixtureModel,
     NotPositiveDefinite,
     PlanarCoords,
+    StationaryReport,
+    StopRule,
     angle_beta,
     from_ab,
     planar_reduce,
+    run,
     to_ab,
     whiten,
 )
@@ -77,6 +81,21 @@ class TestContainers:
         state = ABState(raw, [0.0, 1.0])
         raw[0] = 99.0
         assert state.a[0] == 1.0
+
+    @pytest.mark.parametrize("make", [
+        lambda: MixtureModel(2, [1.0, 0.3]),
+        lambda: MeanPair([0.1, 0.2], [0.3, 0.4]),
+        lambda: ABState([0.1, 0.2], [0.3, 0.4]),
+        lambda: run(ABState([0.1, 0.2], [0.3, 0.4]), MixtureModel(2, [1.0, 0.3]), StopRule(3)),
+        lambda: StationaryReport(ABState([0.0, 0.0], [1.0, 0.3]), 0.0, (), Classification.UNRESOLVED),
+    ], ids=["MixtureModel", "MeanPair", "ABState", "Trajectory", "StationaryReport"])
+    def test_containers_holding_arrays_compare_by_identity(self, make):
+        """== on two equal-valued containers returns a bool instead of
+        comparing their arrays (which raises at d >= 2)."""
+        x, y = make(), make()
+        assert (x == x) is True
+        assert (x == y) is False
+        assert len({x, y}) == 2
 
 
 class TestPlanarReduce:

@@ -151,6 +151,14 @@ class TestRun:
         assert all(v == 0.0 for v in dots)
         assert float(traj.final_state.b @ model.theta_star) == 0.0
 
+    def test_off_plane_midpoint_counts_in_the_first_step(self):
+        """The part of a_0 off span(b_0, theta*) enters no kernel, but the
+        first step removes it, so it counts in that step's size."""
+        model = MixtureModel(3, [1.0, 0.0, 0.0])
+        traj = run(ABState([0.0, 0.0, 0.5], [1.0, 0.0, 0.0]), model, StopRule(10, 0.1))
+        assert traj.converged and len(traj.records) == 2
+        assert np.all(traj.records["a"][1] == 0.0)
+
     def test_zero_step_tol_runs_the_whole_budget(self):
         """From the truth (a fixed point up to rounding) step_tol = 0.0 still
         takes every step of the budget."""
@@ -227,10 +235,9 @@ class TestDiagnostics:
         assert np.all(np.isnan(traj.records["ratio_sin"]))
 
     @pytest.mark.parametrize("stop", [StopRule(200, 1e-10), StopRule(6, 0.0)])
-    def test_each_iterate_is_reduced_once(self, monkeypatch, stop):
-        """One reduction per step, plus the mass of the last iterate when the
-        budget runs out; the records reduce nothing and a sample run never
-        reduces."""
+    def test_a_run_reduces_its_start_once(self, monkeypatch, stop):
+        """A run reduces its start once and then steps on the plane, whether
+        it converges or uses up its budget; a sample run never reduces."""
         calls = []
 
         def counting(state, model):
@@ -239,9 +246,9 @@ class TestDiagnostics:
 
         monkeypatch.setattr(population, "planar_reduce", counting)
         traj = run(ABState([0.1, 0.0], [0.4, 0.1]), MODEL, stop)
-        steps = len(traj.records) if traj.converged else len(traj.records) - 1
         assert traj.converged == (stop.step_tol > 0.0)
-        assert len(calls) == steps + (0 if traj.converged else 1)
+        assert len(traj.records) > 2
+        assert len(calls) == 1
         calls.clear()
         data = sample_mixture(MODEL, 200, seed=3)
         for form in ("ab", "mu"):
