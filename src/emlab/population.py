@@ -121,11 +121,10 @@ def _plane(state: ABState, model: MixtureModel) -> tuple:
         zero = np.zeros(model.dim)
         return zero, zero, (0.0, 0.0), (0.0, 0.0, float(np.linalg.norm(state.a)), 0.0, 0.0)
     coords = planar_reduce(state, model)
-    e1 = coords.e1
     u2 = coords.theta_perp / coords.theta2 if coords.theta2 > 0.0 else np.zeros(model.dim)
     a2 = float(state.a @ u2)
-    off = float(np.linalg.norm(state.a - coords.x_a * e1 - a2 * u2))
-    return e1, u2, (coords.theta1, coords.theta2), (coords.x_a, a2, off, coords.norm_b, 0.0)
+    off = float(np.linalg.norm(state.a - coords.x_a * coords.e1 - a2 * u2))
+    return coords.e1, u2, (coords.theta1, coords.theta2), (coords.x_a, a2, off, coords.norm_b, 0.0)
 
 
 def _step(z: tuple, theta: tuple, spec: QuadratureSpec) -> tuple[tuple, float]:
@@ -156,9 +155,8 @@ def _step(z: tuple, theta: tuple, spec: QuadratureSpec) -> tuple[tuple, float]:
 
 
 def _lift(x, y, e1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """x e1 + y u2 elementwise, not by a matrix product, so no BLAS kernel
-    picks the bytes; + 0.0 turns the -0.0 of 0.0 times a negative entry into
-    0.0."""
+    """x e1 + y u2, elementwise so no BLAS kernel picks the bytes; + 0.0
+    turns the -0.0 of 0.0 times a negative entry into 0.0."""
     return x * e1 + y * u2 + 0.0
 
 
@@ -203,13 +201,17 @@ def _ratios(values: np.ndarray) -> np.ndarray:
     return ratio
 
 
-def _records(a_rows, b_rows, ps: list[float], target: np.ndarray, model: MixtureModel) -> np.ndarray:
-    """The diagnostics table of every iterate, from one pass over the stack;
-    row t is the state (``a_rows[t]``, ``b_rows[t]``) with its mass ``ps[t]``."""
-    table = np.empty(len(ps), dtype=record_dtype(model.dim))
-    table["t"] = np.arange(len(ps))
-    table["a"] = a_rows
-    table["b"] = b_rows
+def _trajectory(
+    a_rows, b_rows, ps: list[float], converged: bool, model: MixtureModel
+) -> Trajectory:
+    """A run's visited states, row 0 its init and the last row its final
+    state, as a ``Trajectory`` whose records, filled column by column in one
+    pass, are the rows that have a p."""
+    k, target = len(ps), _sign_target(b_rows[0], model)
+    table = np.empty(k, dtype=record_dtype(model.dim))
+    table["t"] = np.arange(k)
+    table["a"] = a_rows[:k]
+    table["b"] = b_rows[:k]
     table["p"] = ps
     table["beta"] = _betas(table["b"], model)
     table["sin_beta"] = np.sin(table["beta"])
@@ -218,15 +220,7 @@ def _records(a_rows, b_rows, ps: list[float], target: np.ndarray, model: Mixture
     for ratio, field in zip(RATIO_FIELDS, ("norm_a", "dist_b", "sin_beta")):
         table[ratio] = _ratios(table[field])
     table.flags.writeable = False
-    return table
-
-
-def _trajectory(a_rows, b_rows, ps: list[float], converged: bool, model: MixtureModel) -> Trajectory:
-    """A run's visited iterates, row 0 its init and the last row its final
-    state, as a ``Trajectory`` whose records are the rows that have a p."""
-    k, target = len(ps), _sign_target(b_rows[0], model)
-    final_state = ABState(a_rows[-1], b_rows[-1])
-    return Trajectory(_records(a_rows[:k], b_rows[:k], ps, target, model), final_state, converged, target)
+    return Trajectory(table, ABState(a_rows[-1], b_rows[-1]), converged, target)
 
 
 def model2_step(
@@ -239,7 +233,8 @@ def model2_step(
     b == 0 is absorbing: the step returns (0, 0) with p = 0.5.
     """
     new_state, p = _one_step(state, model, spec)
-    return new_state, _records([state.a], [state.b], [p], _sign_target(state.b, model), model)[0]
+    one_step = _trajectory([state.a, new_state.a], [state.b, new_state.b], [p], True, model)
+    return new_state, one_step.records[0]
 
 
 def _sign_target(b: np.ndarray, model: MixtureModel) -> np.ndarray:
@@ -253,7 +248,9 @@ def _sign_target(b: np.ndarray, model: MixtureModel) -> np.ndarray:
     return np.zeros(model.dim)
 
 
-def _drive(init, stop: StopRule, step: Callable, distance: Callable) -> tuple[list, list[float], bool]:
+def _drive(
+    init, stop: StopRule, step: Callable, distance: Callable
+) -> tuple[list, list[float], bool]:
     """The EM iteration loop behind ``run`` and ``run_sample``.
 
     ``step(state)`` returns the next state and the posterior mass p at
