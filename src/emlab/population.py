@@ -18,8 +18,8 @@ part of a_0 counts in the first).  ``run`` lifts the visited states to d
 dimensions once, elementwise, with row 0 the init itself, then fills the
 diagnostics table (``Trajectory``) column by column.  Model 1 is the a = 0
 slice, where p = 1/2 and a+ = 0 are set exactly: ``run_model1`` is ``run``
-from (0, theta), so ``model2_step`` at a = 0 reproduces ``model1_step`` bit
-for bit.  A step whose p leaves (1e-15, 1 - 1e-15) raises DegenerateWeights.
+from (0, theta) and ``model1_step`` is ``model2_step`` from there, bit for
+bit.  A step whose p leaves (1e-15, 1 - 1e-15) raises DegenerateWeights.
 ``run`` and ``run_sample`` share one stop rule and one iteration driver; a
 sample run reduces nothing.
 
