@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConfigError,
-    DegenerateState,
     DegenerateWeights,
     DimensionMismatch,
     DomainError,
@@ -23,7 +22,6 @@ from .geometry import (
     MeanPair,
     MixtureModel,
     PlanarCoords,
-    angle_beta,
     from_ab,
     planar_reduce,
     to_ab,
@@ -90,7 +88,6 @@ __all__ = [
     "ConsistencyResult",
     "ContractionEstimate",
     "Dataset",
-    "DegenerateState",
     "DegenerateWeights",
     "DimensionMismatch",
     "DomainError",
@@ -105,7 +102,6 @@ __all__ = [
     "StopRule",
     "Trajectory",
     "a_priori_bounds",
-    "angle_beta",
     "classify_stationary",
     "concentration_check",
     "consistency_ladder",

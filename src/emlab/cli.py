@@ -12,8 +12,8 @@ below); any other key or unknown field is a config error naming its path.
 ``--seed N`` overrides the seed, so only run-sample, coupled and consistency
 take it.  Exit status: 0 on success, 1 when ``verify`` has a failing
 criterion, 2 on a config error, 3 on a numerical error (a quadrature rule
-failing its self-check, degenerate posterior weights or a degenerate state),
-reported as one ``numerical error: ...`` line on stderr.
+failing its self-check or degenerate posterior weights), reported as one
+``numerical error: ...`` line on stderr.
 
 Reproducibility contract: with an identical config (seed included) every
 output file is byte-identical across runs.  Floats are serialized with
@@ -60,7 +60,6 @@ import numpy as np
 from . import __version__
 from .errors import (
     ConfigError,
-    DegenerateState,
     DegenerateWeights,
     NonConvergence,
     NotPositiveDefinite,
@@ -624,7 +623,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergence, DegenerateWeights, DegenerateState) as exc:
+    except (NonConvergence, DegenerateWeights) as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     for path in sink.written:

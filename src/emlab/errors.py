@@ -13,10 +13,6 @@ class DimensionMismatch(ValueError):
     """Vectors that must live in the same space have different lengths."""
 
 
-class DegenerateState(ValueError):
-    """A geometric reduction is undefined for this state (e.g. zero vector)."""
-
-
 class NotPositiveDefinite(ValueError):
     """A matrix required to be symmetric positive definite is not."""
 

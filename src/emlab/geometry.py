@@ -1,18 +1,22 @@
 """Model/state containers and the exact planar reduction.
 
 The population update for the free-means model only ever moves inside
-span(b, theta_star).  planar_reduce splits theta_star along e1 = b/||b||
-and returns the scalar coordinates the kernel evaluations need,
+span(b, theta_star).  planar_reduce is the one reduction from d dimensions
+to that plane.  It splits theta_star along e1 = b/||b|| into theta1 e1 plus
+the in-plane remainder theta_perp, and returns the orthonormal frame
 
-    x_a        = <a, b> / ||b||        (signed offset along the separation axis)
-    theta1     = <theta_star, e1>      (signed)
-    theta2     = ||theta_perp||        (>= 0 by construction)
+    e1 = b/||b||,   u2 = theta_perp/theta2   (zero when theta2 == 0),
 
-together with e1 and the in-plane remainder theta_perp = theta_star - theta1 e1,
-so that theta_star = theta1 e1 + theta_perp.  Every in-plane vector the step
-needs is a combination of e1 and theta_perp, so no second unit vector is
-built; theta_perp is exactly zero in dimension 1 and needs no special case
-when b and theta_star are (nearly) collinear.
+theta_star's coordinates theta = (theta1, theta2) in it, with theta2 =
+||theta_perp|| >= 0, and the five-float plane state of (a, b),
+
+    z = (x_a, <a, u2>, ||part of a off the plane||, ||b||, 0),
+
+where x_a = <a, b>/||b||.  theta_perp is exactly zero in dimension 1, and
+u2 is then the zero vector.  When b is collinear with theta_star up to
+rounding, theta2 is rounding-sized and u2 is the direction of that residue,
+which need not be orthogonal to e1.  b == 0 has no frame: e1 = u2 = 0,
+theta = (0, 0) and all of a lies off the plane.
 
 Exact zeros are preserved: no thresholding is applied to <a, b> or
 <theta_star, e1>, so states constructed in orthogonal coordinates keep their
@@ -27,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateState, DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 
 def _as_vector(value, name: str) -> np.ndarray:
@@ -106,15 +110,14 @@ class ABState:
 
 
 class PlanarCoords(NamedTuple):
-    """Scalar reduction coordinates plus the two in-plane vectors that carry
-    them: e1 = b/||b|| and theta_perp = theta_star - theta1 e1."""
+    """The frame e1, u2 of span(b, theta_star), theta_star's coordinates
+    (theta1, theta2) in it and the plane state
+    (x_a, <a, u2>, ||part of a off the plane||, ||b||, 0)."""
 
-    x_a: float
-    norm_b: float
-    theta1: float
-    theta2: float
     e1: np.ndarray
-    theta_perp: np.ndarray
+    u2: np.ndarray
+    theta: tuple[float, float]
+    z: tuple[float, float, float, float, float]
 
 
 def state_distance(x: ABState, y: ABState) -> float:
@@ -136,19 +139,29 @@ def from_ab(state: ABState) -> MeanPair:
 
 
 def planar_reduce(state: ABState, model: MixtureModel) -> PlanarCoords:
-    """Reduce (a, b) against theta_star to in-plane scalar coordinates."""
+    """Reduce (a, b) against theta_star to the frame and the plane state."""
     if state.dim != model.dim:
         raise DimensionMismatch(
             f"state has dimension {state.dim}, model has {model.dim}"
         )
-    norm_b = float(np.linalg.norm(state.b))
+    norm_b = _norm(state.b)
     if norm_b == 0.0:
-        raise DegenerateState("b is the zero vector; no separation axis exists")
+        zero, norm_a = np.zeros(model.dim), _norm(state.a)
+        return PlanarCoords(zero, zero, (0.0, 0.0), (0.0, 0.0, norm_a, 0.0, 0.0))
     e1 = state.b / norm_b
     x_a = float(np.dot(state.a, state.b)) / norm_b
     theta1, theta_perp = _split_theta(model.theta_star, e1)
-    theta2 = float(np.linalg.norm(theta_perp))
-    return PlanarCoords(x_a, norm_b, float(theta1), theta2, e1, theta_perp)
+    theta2 = _norm(theta_perp)
+    u2 = theta_perp / theta2 if theta2 > 0.0 else np.zeros(model.dim)
+    a2 = float(state.a @ u2)
+    off = _norm(state.a - x_a * e1 - a2 * u2)
+    return PlanarCoords(e1, u2, (float(theta1), theta2), (x_a, a2, off, norm_b, 0.0))
+
+
+def _norm(v: np.ndarray) -> float:
+    """float(np.linalg.norm(v)) for a 1-d v, bit for bit: the same sqrt of
+    v.dot(v), without the dispatch that costs more than the sum."""
+    return math.sqrt(v.dot(v))
 
 
 def _split_theta(theta_star: np.ndarray, e1: np.ndarray) -> tuple:
@@ -156,16 +169,7 @@ def _split_theta(theta_star: np.ndarray, e1: np.ndarray) -> tuple:
     row along a stack of them.  |theta*| sin(beta) is ||theta_perp||, not
     sqrt(|theta*|^2 - theta1^2), which floors sin(beta) at ~1e-8."""
     theta1 = e1 @ theta_star
-    return theta1, theta_star - np.expand_dims(theta1, -1) * e1
-
-
-def angle_beta(coords: PlanarCoords) -> float:
-    """Angle in [0, pi] between b and theta_star."""
-    if coords.norm_b == 0.0:
-        raise DegenerateState("angle undefined: b is the zero vector")
-    if coords.theta1 == 0.0 and coords.theta2 == 0.0:
-        raise DegenerateState("angle undefined: theta_star is the zero vector")
-    return math.atan2(coords.theta2, coords.theta1)
+    return theta1, theta_star - theta1[..., None] * e1
 
 
 def whiten(data, sigma) -> np.ndarray:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ABState, MeanPair, MixtureModel, planar_reduce, state_distance, to_ab
-from .population import _one_step, model2_step
+from .population import model2_step
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_against_mixture
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -71,12 +71,9 @@ def expected_loglik(
 ) -> float:
     """Population expected log-likelihood G(mu1, mu2) under `model`."""
     state = to_ab(means)
-    if state.dim != model.dim:
-        raise ValueError(
-            f"means have dimension {state.dim}, model has {model.dim}"
-        )
+    coords = planar_reduce(state, model)
+    x_a, norm_b, t1 = coords.z[0], coords.z[3], coords.theta[0]
     d = model.dim
-    norm_b = float(np.linalg.norm(state.b))
     quad_part = -0.5 * d * _LOG_2PI - 0.5 * (
         d
         + model.norm_theta**2
@@ -85,8 +82,6 @@ def expected_loglik(
     )
     if norm_b == 0.0:
         return quad_part
-    coords = planar_reduce(state, model)
-    x_a, t1 = coords.x_a, coords.theta1
     cosh_part = integrate_against_mixture(
         lambda y: _log_cosh(norm_b * (y - x_a)), t1, spec
     )
@@ -97,12 +92,7 @@ def grad_G(
     means: MeanPair, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of G with respect to (mu1, mu2): posterior-weighted residuals."""
-    state = to_ab(means)
-    if state.dim != model.dim:
-        raise ValueError(
-            f"means have dimension {state.dim}, model has {model.dim}"
-        )
-    new_state, p = _one_step(state, model, spec)
+    new_state, p = model2_step(to_ab(means), model, spec)
     q_vec = new_state.b * (2.0 * p * (1.0 - p))  # b+ = q / (2p(1-p))
     return -q_vec - means.mu1 * (1.0 - p), q_vec - means.mu2 * p
 

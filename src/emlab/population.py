@@ -3,25 +3,26 @@
 Model 1 estimates a single vector theta (component means locked to ±theta);
 Model 2 estimates free means, tracked here in centered (a, b) coordinates.
 After one step every iterate lies in span(b_0, theta_star), so a run reduces
-its start once (``planar_reduce``): to the orthonormal frame e1 = b_0/||b_0||,
-u2 = theta_perp/theta2 (zero when theta2 == 0) and the plane state of five
-floats (x_a, <a_0, u2>, ||part of a_0 off the plane||, ||b_0||, 0).  A step
-on plain floats, with e = b/||b||, theta1 = <theta_star, e> and one call of
-the kernel core (P, Gamma, S) = kernel_pgs, is
+its start once with ``planar_reduce`` (geometry.py) to the frame e1, u2 and
+the five-float plane state, steps on plain floats and lifts the visited
+states to d dimensions once at the end.  A step, with e = b/||b||,
+theta1 = <theta_star, e> and one call of the kernel core
+(P, Gamma, S) = kernel_pgs, is
 
     p  = P(<a, e>, ||b||, theta1)
     q  = Gamma e  +  S (theta_star - theta1 e)
     a+ = q (1 - 2p) / (2p(1-p)),   b+ = q / (2p(1-p)),
 
 and moves the state by the distance of the two plane states (the off-plane
-part of a_0 counts in the first).  ``run`` lifts the visited states to d
-dimensions once, elementwise, with row 0 the init itself, then fills the
-diagnostics table (``Trajectory``) column by column.  Model 1 is the a = 0
-slice, where p = 1/2 and a+ = 0 are set exactly: ``run_model1`` is ``run``
-from (0, theta) and ``model1_step`` is ``model2_step`` from there, bit for
-bit.  A step whose p leaves (1e-15, 1 - 1e-15) raises DegenerateWeights.
-``run`` and ``run_sample`` share one stop rule and one iteration driver; a
-sample run reduces nothing.
+part of a_0 counts in the first).  ``run`` lifts elementwise, with row 0 the
+init itself, then fills the diagnostics table (``Trajectory``) column by
+column; ``model2_step`` is the same reduce, step and lift for one step, so
+it returns row 1 of a one-step run and row 0's p bit for bit.  Model 1 is
+the a = 0 slice, where p = 1/2 and a+ = 0 are set exactly: ``run_model1``
+is ``run`` from (0, theta) and ``model1_step`` is ``model2_step`` from
+there, bit for bit.  A step whose p leaves (1e-15, 1 - 1e-15) raises
+DegenerateWeights.  ``run`` and ``run_sample`` share one stop rule and one
+iteration driver; a sample run reduces nothing.
 
 Exactness guarantees (no thresholding involved):
   * <a, b> == 0.0 implies p = 0.5 and a+ = 0 exactly;
@@ -40,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateWeights, DimensionMismatch
+from .errors import DegenerateWeights
 from .geometry import ABState, MixtureModel, _split_theta, planar_reduce
 from .kernels import kernel_pgs
 # not called here; kept importable because the benchmark tracer (perfbench/spans.py) wraps them
@@ -63,8 +64,9 @@ class StopRule:
     step_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_iters, int) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, int) or iters < 1:
+            raise ValueError(f"max_iters must be a positive integer, got {iters!r}")
         if not self.step_tol >= 0.0:
             raise ValueError(f"step_tol must be >= 0, got {self.step_tol!r}")
 
@@ -107,26 +109,6 @@ class Trajectory:
         return len(self.records)
 
 
-def _plane(state: ABState, model: MixtureModel) -> tuple:
-    """The frame of ``state`` and its plane state, from one ``planar_reduce``.
-
-    Returns e1 = b/||b||, u2 = theta_perp/theta2 (zero when theta2 == 0),
-    theta_star's coordinates (theta1, theta2) and the plane state
-    (x_a, <a, u2>, ||part of a off the plane||, ||b||, 0).  b == 0 has no
-    frame: e1 = u2 = 0 and all of a lies off the plane.
-    """
-    if state.dim != model.dim:
-        raise DimensionMismatch(f"state has dimension {state.dim}, model has {model.dim}")
-    if float(np.linalg.norm(state.b)) == 0.0:
-        zero = np.zeros(model.dim)
-        return zero, zero, (0.0, 0.0), (0.0, 0.0, float(np.linalg.norm(state.a)), 0.0, 0.0)
-    coords = planar_reduce(state, model)
-    u2 = coords.theta_perp / coords.theta2 if coords.theta2 > 0.0 else np.zeros(model.dim)
-    a2 = float(state.a @ u2)
-    off = float(np.linalg.norm(state.a - coords.x_a * coords.e1 - a2 * u2))
-    return coords.e1, u2, (coords.theta1, coords.theta2), (coords.x_a, a2, off, coords.norm_b, 0.0)
-
-
 def _step(z: tuple, theta: tuple, spec: QuadratureSpec) -> tuple[tuple, float]:
     """One free-means step on the plane state ``z`` against theta_star's
     coordinates ``theta``; returns the next plane state and p at ``z``."""
@@ -160,9 +142,15 @@ def _lift(x, y, e1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return x * e1 + y * u2 + 0.0
 
 
-def _one_step(state: ABState, model: MixtureModel, spec: QuadratureSpec) -> tuple[ABState, float]:
-    """The step from a d-dimensional state, lifted back; and p at ``state``."""
-    e1, u2, theta, z = _plane(state, model)
+def model2_step(
+    state: ABState, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC
+) -> tuple[ABState, float]:
+    """One population step of the free-means model in (a, b) coordinates.
+
+    Returns the new state and the posterior mass p at ``state``.  b == 0 is
+    absorbing: the step returns (0, 0) with p = 0.5.
+    """
+    e1, u2, theta, z = planar_reduce(state, model)
     (a1, a2, _, b1, b2), p = _step(z, theta, spec)
     return ABState(_lift(a1, a2, e1, u2), _lift(b1, b2, e1, u2)), p
 
@@ -170,14 +158,14 @@ def _one_step(state: ABState, model: MixtureModel, spec: QuadratureSpec) -> tupl
 def posterior_mass(state: ABState, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """The scalar p for one step taken from ``state``; exactly 0.5 whenever
     <a, b> == 0 (in particular for b == 0)."""
-    return _one_step(state, model, spec)[1]
+    return model2_step(state, model, spec)[1]
 
 
 def model1_step(theta, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
     """One population step of the locked-means model: the b part of the
     free-means step from (0, theta), whose midpoint stays exactly 0; 0 maps
     to 0."""
-    return _one_step(ABState(np.zeros(model.dim), theta), model, spec)[0].b
+    return model2_step(ABState(np.zeros(model.dim), theta), model, spec)[0].b
 
 
 def _betas(b_rows: np.ndarray, model: MixtureModel) -> np.ndarray:
@@ -221,20 +209,6 @@ def _trajectory(
         table[ratio] = _ratios(table[field])
     table.flags.writeable = False
     return Trajectory(table, ABState(a_rows[-1], b_rows[-1]), converged, target)
-
-
-def model2_step(
-    state: ABState, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC
-) -> tuple[ABState, np.void]:
-    """One population step of the free-means model in (a, b) coordinates.
-
-    Returns the new state together with the diagnostics row of the state
-    the step was taken from (a one-row ``Trajectory.records`` table's row 0).
-    b == 0 is absorbing: the step returns (0, 0) with p = 0.5.
-    """
-    new_state, p = _one_step(state, model, spec)
-    one_step = _trajectory([state.a, new_state.a], [state.b, new_state.b], [p], True, model)
-    return new_state, one_step.records[0]
 
 
 def _sign_target(b: np.ndarray, model: MixtureModel) -> np.ndarray:
@@ -286,7 +260,7 @@ def run(
     yields a single record).  When the budget is exhausted, the last iterate
     is appended as a final record.
     """
-    e1, u2, theta, z0 = _plane(init, model)
+    e1, u2, theta, z0 = planar_reduce(init, model)
     zs, ps, converged = _drive(z0, stop, lambda z: _step(z, theta, spec), math.dist)
     z = np.array(zs)
     a_rows, b_rows = _lift(z[:, :1], z[:, 1:2], e1, u2), _lift(z[:, 3:4], z[:, 4:5], e1, u2)

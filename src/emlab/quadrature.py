@@ -52,13 +52,13 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.nodes_per_lobe < MIN_NODES_PER_LOBE:
+        nodes = self.nodes_per_lobe
+        if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < MIN_NODES_PER_LOBE:
             raise ValueError(
-                f"nodes_per_lobe must be an integer >= {MIN_NODES_PER_LOBE}, "
-                f"got {self.nodes_per_lobe}"
+                f"nodes_per_lobe must be an integer >= {MIN_NODES_PER_LOBE}, got {nodes!r}"
             )
-        if not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol!r}")
 
 
 DEFAULT_SPEC = QuadratureSpec()

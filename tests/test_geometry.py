@@ -11,15 +11,12 @@ from hypothesis import strategies as st
 from emlab import (
     ABState,
     Classification,
-    DegenerateState,
     DimensionMismatch,
     MeanPair,
     MixtureModel,
     NotPositiveDefinite,
-    PlanarCoords,
     StationaryReport,
     StopRule,
-    angle_beta,
     from_ab,
     planar_reduce,
     run,
@@ -102,77 +99,96 @@ class TestPlanarReduce:
     model = MixtureModel(3, [1.0, 2.0, 2.0])
 
     def test_basis_is_orthonormal(self):
-        """e1 and theta_perp / theta2 span the (b, theta_star) plane."""
+        """e1 and u2 are an orthonormal basis of the (b, theta_star) plane."""
         state = ABState([0.3, -0.2, 0.5], [0.1, 1.2, -0.4])
         c = planar_reduce(state, self.model)
-        assert c.theta2 == float(np.linalg.norm(c.theta_perp))
         assert np.linalg.norm(c.e1) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(c.theta_perp / c.theta2) == pytest.approx(1.0, abs=1e-12)
-        assert abs(float(c.e1 @ c.theta_perp)) / c.theta2 <= 1e-12
+        assert np.linalg.norm(c.u2) == pytest.approx(1.0, abs=1e-12)
+        assert abs(float(c.e1 @ c.u2)) <= 1e-12
+        assert c.theta[1] > 0.0
 
     def test_reconstructs_theta_star(self):
         state = ABState([0.3, -0.2, 0.5], [0.1, 1.2, -0.4])
         c = planar_reduce(state, self.model)
+        theta1, theta2 = c.theta
         np.testing.assert_allclose(
-            c.theta1 * c.e1 + c.theta_perp, self.model.theta_star, atol=1e-12
+            theta1 * c.e1 + theta2 * c.u2, self.model.theta_star, atol=1e-12
         )
 
     def test_collinear_branch(self):
         state = ABState([0.0, 0.0, 0.0], 0.5 * self.model.theta_star)
         c = planar_reduce(state, self.model)
-        assert c.theta2 == 0.0
-        np.testing.assert_array_equal(c.theta_perp, [0.0, 0.0, 0.0])
-        assert c.theta1 == pytest.approx(self.model.norm_theta, rel=1e-14)
+        assert c.theta[1] == 0.0
+        np.testing.assert_array_equal(c.u2, [0.0, 0.0, 0.0])
+        assert c.theta[0] == pytest.approx(self.model.norm_theta, rel=1e-14)
 
     def test_dimension_one_uses_zero_filler(self):
-        """In d = 1 the residual theta_perp is exactly the zero vector."""
+        """In d = 1 theta_star has no part off e1, so u2 is exactly zero."""
         model = MixtureModel(1, [2.0])
         c = planar_reduce(ABState([0.1], [-0.5]), model)
-        assert c.theta2 == 0.0
-        np.testing.assert_array_equal(c.theta_perp, [0.0])
-        assert c.theta1 == pytest.approx(-2.0)
+        assert c.theta[1] == 0.0
+        np.testing.assert_array_equal(c.u2, [0.0])
+        assert c.theta[0] == pytest.approx(-2.0)
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(min_value=1, max_value=8), seed=st.integers(0, 2**32 - 1))
     def test_split_of_theta_star(self, d, seed):
-        """theta1 e1 + theta_perp rebuilds theta_star, theta_perp is orthogonal
-        to e1 with norm theta2 (exactly zero in d = 1, rounding-sized for a
-        collinear b), and theta1 is exactly zero for disjoint supports."""
+        """theta1 e1 + theta2 u2 rebuilds theta_star; theta2 u2 is orthogonal
+        to e1 and u2 a unit vector (exactly zero in d = 1, and theta2
+        rounding-sized for a collinear b, where u2 is a rounding residue's
+        direction), and theta1 is exactly zero for disjoint supports."""
         rng = np.random.default_rng(seed)
         model = MixtureModel(d, rng.uniform(0.1, 5.0) * rng.standard_normal(d))
         scale = model.norm_theta
         for b in (rng.standard_normal(d), rng.uniform(-3.0, 3.0) * model.theta_star):
             c = planar_reduce(ABState(rng.standard_normal(d), b), model)
+            theta1, theta2 = c.theta
             np.testing.assert_allclose(
-                c.theta1 * c.e1 + c.theta_perp, model.theta_star, rtol=0.0, atol=1e-12
+                theta1 * c.e1 + theta2 * c.u2, model.theta_star, rtol=0.0, atol=1e-12
             )
-            assert abs(float(c.e1 @ c.theta_perp)) <= 1e-12 * scale
-            assert c.theta2 == float(np.linalg.norm(c.theta_perp))
+            assert theta2 >= 0.0
+            assert abs(float(c.e1 @ c.u2)) * theta2 <= 1e-12 * scale
+            if theta2 > 0.0:
+                assert abs(float(np.linalg.norm(c.u2)) - 1.0) <= 1e-12
+            else:
+                assert np.all(c.u2 == 0.0)
             if d == 1:
-                assert np.all(c.theta_perp == 0.0)
-        assert c.theta2 <= 1e-12 * scale  # the collinear b
+                assert theta2 == 0.0 and np.all(c.u2 == 0.0)
+        assert c.theta[1] <= 1e-12 * scale  # the collinear b
         if d > 1:
             k = int(rng.integers(1, d))
             b = np.concatenate([rng.standard_normal(k), np.zeros(d - k)])
             theta = np.concatenate([np.zeros(k), rng.standard_normal(d - k)])
             c = planar_reduce(ABState(np.zeros(d), b), MixtureModel(d, theta))
-            assert c.theta1 == 0.0
+            assert c.theta[0] == 0.0
 
     def test_scalar_coordinates(self):
+        """The plane state is (x_a, <a, u2>, |a off the plane|, |b|, 0), and
+        its in-plane part with the off-plane norm rebuilds a."""
         state = ABState([0.3, -0.2, 0.5], [0.1, 1.2, -0.4])
         c = planar_reduce(state, self.model)
-        norm_b = np.linalg.norm(state.b)
-        assert c.norm_b == pytest.approx(norm_b, rel=1e-15)
-        assert c.x_a == pytest.approx(float(state.a @ state.b) / norm_b, rel=1e-14)
-        assert c.theta2 >= 0.0
+        x_a, a2, off, norm_b, b2 = c.z
+        norm_b_ref = np.linalg.norm(state.b)
+        assert norm_b == pytest.approx(norm_b_ref, rel=1e-15)
+        assert x_a == pytest.approx(float(state.a @ state.b) / norm_b_ref, rel=1e-14)
+        assert a2 == pytest.approx(float(state.a @ c.u2), rel=1e-14)
+        assert b2 == 0.0
+        in_plane = x_a * c.e1 + a2 * c.u2
+        assert off == pytest.approx(float(np.linalg.norm(state.a - in_plane)), abs=1e-15)
+        assert math.hypot(x_a, a2, off) == pytest.approx(float(np.linalg.norm(state.a)), rel=1e-14)
 
-    def test_zero_b_rejected(self):
-        with pytest.raises(DegenerateState):
-            planar_reduce(ABState([0.1, 0.0, 0.0], [0.0, 0.0, 0.0]), self.model)
+    def test_zero_b_has_the_zero_frame(self):
+        """b == 0 spans no plane: the zero frame, and all of a off it."""
+        c = planar_reduce(ABState([0.1, 0.0, -0.2], [0.0, 0.0, 0.0]), self.model)
+        assert c.z == (0.0, 0.0, float(np.linalg.norm([0.1, 0.0, -0.2])), 0.0, 0.0)
+        assert c.theta == (0.0, 0.0)
+        assert np.all(c.e1 == 0.0) and np.all(c.u2 == 0.0)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             planar_reduce(ABState([0.1], [0.2]), self.model)
+        with pytest.raises(DimensionMismatch):
+            planar_reduce(ABState([0.1], [0.0]), self.model)
 
     def test_rotation_invariance_of_scalars(self):
         """The reduced scalars only depend on inner products, so a rotation
@@ -184,30 +200,24 @@ class TestPlanarReduce:
         rot_model = MixtureModel(3, q @ self.model.theta_star)
         rot_state = ABState(q @ state.a, q @ state.b)
         cr = planar_reduce(rot_state, rot_model)
-        np.testing.assert_allclose(
-            [cr.x_a, cr.norm_b, cr.theta1, cr.theta2],
-            [c.x_a, c.norm_b, c.theta1, c.theta2],
-            atol=1e-12,
-        )
+        np.testing.assert_allclose([*cr.theta, *cr.z], [*c.theta, *c.z], atol=1e-12)
 
 
 class TestAngle:
-    def test_right_angle(self):
+    """The beta column of a run's records: the angle in [0, pi] of b to
+    theta_star."""
+
+    @staticmethod
+    def _beta0(b):
         model = MixtureModel(2, [1.0, 0.0])
-        c = planar_reduce(ABState([0.0, 0.0], [0.0, 0.8]), model)
-        assert angle_beta(c) == pytest.approx(math.pi / 2.0, abs=1e-14)
+        return run(ABState([0.0, 0.0], b), model, StopRule(1, 0.0)).records["beta"][0]
+
+    def test_right_angle(self):
+        assert self._beta0([0.0, 0.8]) == pytest.approx(math.pi / 2.0, abs=1e-14)
 
     def test_aligned_and_opposed(self):
-        model = MixtureModel(2, [1.0, 0.0])
-        assert angle_beta(planar_reduce(ABState([0.0, 0.0], [0.4, 0.0]), model)) == 0.0
-        assert angle_beta(planar_reduce(ABState([0.0, 0.0], [-0.4, 0.0]), model)) == pytest.approx(
-            math.pi
-        )
-
-    def test_degenerate_coords_rejected(self):
-        coords = PlanarCoords(0.0, 0.0, 1.0, 0.0, np.array([1.0, 0.0]), np.zeros(2))
-        with pytest.raises(DegenerateState):
-            angle_beta(coords)
+        assert self._beta0([0.4, 0.0]) == 0.0
+        assert self._beta0([-0.4, 0.0]) == pytest.approx(math.pi)
 
 
 class TestWhiten:

@@ -9,6 +9,7 @@ import pytest
 from emlab import (
     ABState,
     Classification,
+    DimensionMismatch,
     MeanPair,
     MixtureModel,
     classify_stationary,
@@ -51,8 +52,13 @@ class TestExpectedLoglik:
         assert g1 == pytest.approx(g2, rel=1e-13)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            expected_loglik(MeanPair([0.0], [1.0]), MODEL_2D)
+        """The planar reduction refuses a model of another dimension, also
+        for coincident means (b == 0) and for the gradient."""
+        for means in (MeanPair([0.0], [1.0]), MeanPair([0.5], [0.5])):
+            with pytest.raises(DimensionMismatch):
+                expected_loglik(means, MODEL_2D)
+            with pytest.raises(DimensionMismatch):
+                grad_G(means, MODEL_2D)
 
 
 class TestGradient:

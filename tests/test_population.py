@@ -13,7 +13,6 @@ from emlab import (
     MixtureModel,
     StopRule,
     a_priori_bounds,
-    angle_beta,
     model1_step,
     model2_step,
     planar_reduce,
@@ -33,17 +32,16 @@ class TestStepStructure:
         """From a = 0 the midpoint update is exactly zero and the separation
         update coincides bitwise with the locked-means map."""
         state = ABState([0.0, 0.0], [0.6, -0.2])
-        new, rec = model2_step(state, MODEL)
+        new, p = model2_step(state, MODEL)
         assert np.all(new.a == 0.0)
-        assert rec["p"] == 0.5
+        assert p == 0.5
         np.testing.assert_array_equal(new.b, model1_step(np.array([0.6, -0.2]), MODEL))
 
     def test_zero_separation_is_absorbing(self):
-        new, rec = model2_step(ABState([0.4, 0.1], [0.0, 0.0]), MODEL)
+        new, p = model2_step(ABState([0.4, 0.1], [0.0, 0.0]), MODEL)
         assert np.all(new.a == 0.0)
         assert np.all(new.b == 0.0)
-        assert rec["p"] == 0.5
-        assert math.isnan(rec["beta"])
+        assert p == 0.5
 
     def test_sign_flip_equivariance(self):
         """Negating b negates the b-update and leaves the a-update alone."""
@@ -61,6 +59,29 @@ class TestStepStructure:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             model2_step(ABState([0.1], [0.2]), MODEL)
+
+    @pytest.mark.parametrize("case", [f"d{d}" for d in range(1, 9)]
+                             + ["zero-b", "off-plane-a", "orthogonal-slice"])
+    def test_one_step_is_a_one_step_run(self, case):
+        """model2_step is bit for bit row 1 of a one-step run from the same
+        state, and its p is that run's row-0 p."""
+        if case.startswith("d"):
+            d = int(case[1:])
+            rng = np.random.default_rng(200 + d)
+            model = MixtureModel(d, 1.5 * rng.normal(size=d) / math.sqrt(d))
+            state = ABState(0.3 * rng.normal(size=d), rng.normal(size=d) / math.sqrt(d))
+        else:
+            model = MixtureModel(3, [1.2, 0.0, 0.0])
+            state = {
+                "zero-b": ABState([0.4, 0.1, -0.3], [0.0, 0.0, 0.0]),
+                "off-plane-a": ABState([0.1, 0.2, 0.5], [0.8, 0.3, 0.0]),
+                "orthogonal-slice": ABState([0.3, 0.1, -0.2], [0.0, 0.5, 0.4]),
+            }[case]
+        new, p = model2_step(state, model)
+        rows = run(state, model, StopRule(1, 0.0)).records
+        np.testing.assert_array_equal(new.a, rows["a"][1])
+        np.testing.assert_array_equal(new.b, rows["b"][1])
+        np.testing.assert_array_equal(p, rows["p"][0])
 
     @pytest.mark.parametrize("norm", [1.0, 0.05, 1e-4])
     def test_orthogonal_step_is_stein_contraction(self, norm):
@@ -191,10 +212,11 @@ class TestDiagnostics:
     def _check(traj, model):
         r = traj.records
         states = [ABState(a, b) for a, b in zip(r["a"], r["b"])]
+        thetas = [planar_reduce(s, model).theta for s in states]
         for column, expected in (
             ("norm_a", [np.linalg.norm(s.a) for s in states]),
             ("dist_b", [np.linalg.norm(s.b - traj.target) for s in states]),
-            ("beta", [angle_beta(planar_reduce(s, model)) for s in states]),
+            ("beta", [math.atan2(theta2, theta1) for theta1, theta2 in thetas]),
         ):
             np.testing.assert_allclose(r[column], expected, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from emlab import NonConvergence, QuadratureSpec
+from emlab import NonConvergence, QuadratureSpec, StopRule
 from emlab.quadrature import (
     DEFAULT_SPEC,
     adaptive_simpson,
@@ -31,6 +31,20 @@ class TestSpecValidation:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             QuadratureSpec(nodes_per_lobe=64, abs_tol=0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: QuadratureSpec(nodes_per_lobe=64.5),
+        lambda: QuadratureSpec(nodes_per_lobe=64.0),
+        lambda: QuadratureSpec(64, abs_tol=math.inf),
+        lambda: QuadratureSpec(64, abs_tol=math.nan),
+        lambda: StopRule(True, 1e-10),
+    ], ids=["fractional-nodes", "float-nodes", "infinite-tol", "nan-tol", "bool-budget"])
+    def test_rejects_what_the_cli_rejects(self, make):
+        """A float node count would fail deep in scipy, an infinite tolerance
+        would switch off the N/2N self-check, and True would be a budget of
+        one step; each is refused when the spec or rule is built."""
+        with pytest.raises(ValueError):
+            make()
 
 
 class TestStdNormal:
