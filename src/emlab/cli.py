@@ -57,7 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, acceptance
 from .errors import (
     ConfigError,
     DegenerateWeights,
@@ -318,12 +318,14 @@ def resolve_config(raw, command, seed_override=None):
             key: _resolve_axis(section, key, "grid") for key in ("x_a", "x_b", "x_theta")
         }
     if "criteria" in keys:
-        criteria = raw.get("criteria", list(range(1, 14)))
+        count = len(acceptance.CRITERIA)
+        criteria = raw.get("criteria", list(range(1, count + 1)))
         if not isinstance(criteria, list) or not criteria:
             raise ConfigError("criteria", "expected a non-empty list of criterion numbers")
         for i, num in enumerate(criteria):
-            if isinstance(num, bool) or not isinstance(num, int) or not 1 <= num <= 13:
-                raise ConfigError(f"criteria[{i}]", f"expected an integer in 1..13, got {num!r}")
+            if isinstance(num, bool) or not isinstance(num, int) or not 1 <= num <= count:
+                raise ConfigError(f"criteria[{i}]",
+                                  f"expected an integer in 1..{count}, got {num!r}")
         resolved["criteria"] = criteria
 
     return resolved, model, spec, init, stop
@@ -388,21 +390,21 @@ def _columns(records, fields):
     return [records[field].tolist() for field in fields]
 
 
-def _free_rows(traj, d):
-    r = traj.records
-    # a missing ratio is nan in the table and an empty cell in the file
-    ratios = [[None if math.isnan(v) else v for v in column]
-              for column in _columns(r, RATIO_FIELDS)]
-    columns = (
-        [r["t"].tolist()] + r["a"].T.tolist() + r["b"].T.tolist()
-        + _columns(r, ("p", "beta", "sin_beta", "norm_a", "dist_b")) + ratios
-    )
-    header = (
-        ["t"]
-        + [f"a_{i}" for i in range(d)]
-        + [f"b_{i}" for i in range(d)]
-        + ["p", "beta", "sin_beta", "norm_a", "dist_b", *RATIO_FIELDS]
-    )
+def _free_rows(traj):
+    """The CSV header and rows of a trajectory: one column per field of its
+    records, a vector field ``a`` spread over ``a_0``, ``a_1``, ..."""
+    header, columns = [], []
+    for name in traj.records.dtype.names:
+        values = traj.records[name]
+        if values.ndim == 2:
+            header += [f"{name}_{i}" for i in range(values.shape[1])]
+            columns += values.T.tolist()
+            continue
+        column = values.tolist()
+        if name in RATIO_FIELDS:  # a missing ratio is nan in the table, an empty cell here
+            column = [None if math.isnan(v) else v for v in column]
+        header.append(name)
+        columns.append(column)
     return header, zip(*columns)
 
 
@@ -429,7 +431,7 @@ def _cmd_run_population(sink, model, spec, init, stop, resolved):
         )
     else:
         traj = run(init, model, stop, spec)
-        header, rows = _free_rows(traj, model.dim)
+        header, rows = _free_rows(traj)
         sink.csv("trajectory.csv", header, rows)
         sink.json("summary.json", _trajectory_summary(traj))
     return 0
@@ -455,7 +457,7 @@ def _trajectory_summary(traj):
 def _cmd_run_sample(sink, model, spec, init, stop, resolved):
     data = sample_mixture(model, resolved["n"], resolved["seed"])
     traj = run_sample(init, data, stop, resolved["form"])
-    header, rows = _free_rows(traj, model.dim)
+    header, rows = _free_rows(traj)
     sink.csv("trajectory.csv", header, rows)
     summary = _trajectory_summary(traj)
     summary["n"] = resolved["n"]
@@ -546,8 +548,6 @@ def _cmd_consistency(sink, model, spec, init, stop, resolved):
 
 
 def _cmd_verify(sink, model, spec, init, stop, resolved):
-    from . import acceptance
-
     results = [acceptance.run_one(num) for num in resolved["criteria"]]
     width = max(len(r.title) for r in results)
     print(f"{'criterion':>9}  {'status':6}  {'seconds':>8}  title")

@@ -14,9 +14,11 @@ theta_star's coordinates theta = (theta1, theta2) in it, with theta2 =
 
 where x_a = <a, b>/||b||.  theta_perp is exactly zero in dimension 1, and
 u2 is then the zero vector.  When b is collinear with theta_star up to
-rounding, theta2 is rounding-sized and u2 is the direction of that residue,
-which need not be orthogonal to e1.  b == 0 has no frame: e1 = u2 = 0,
-theta = (0, 0) and all of a lies off the plane.
+rounding, theta2 is rounding-sized and u2 is the direction of that residue
+(or zero if it vanishes); repeated Gram-Schmidt passes keep u2 orthogonal
+to e1 even then, so a collinear a has no part along u2 or off the plane.
+b == 0 has no frame: e1 = u2 = 0, theta = (0, 0) and all of a lies off the
+plane.
 
 Exact zeros are preserved: no thresholding is applied to <a, b> or
 <theta_star, e1>, so states constructed in orthogonal coordinates keep their
@@ -151,6 +153,11 @@ def planar_reduce(state: ABState, model: MixtureModel) -> PlanarCoords:
     e1 = state.b / norm_b
     x_a = float(np.dot(state.a, state.b)) / norm_b
     theta1, theta_perp = _split_theta(model.theta_star, e1)
+    # theta_perp keeps a rounding-sized part along e1, all of it when b is
+    # collinear with theta_star up to rounding; two more Gram-Schmidt passes
+    # leave it orthogonal to e1 to rounding (one pass leaves up to ~1e-11)
+    for _ in range(2):
+        theta_perp -= e1.dot(theta_perp) * e1
     theta2 = _norm(theta_perp)
     u2 = theta_perp / theta2 if theta2 > 0.0 else np.zeros(model.dim)
     a2 = float(state.a @ u2)

@@ -46,7 +46,6 @@ the Mills-ratio bound phi(x)/(1 - Phi(x)) < x + sqrt(2/pi).
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -157,12 +156,15 @@ def tabulate(
     """Evaluate (P, Gamma, S, F, K) on the Cartesian grid of the three axes.
 
     Returns rows (x_a, x_b, x_theta, P, Gamma, S, F, K) in row-major order,
-    matching the CSV layout of the command-line tabulator.
+    matching the CSV layout of the command-line tabulator.  F and K are
+    evaluated once per (x_b, x_theta) and (x_a, x_b) grid pair.
     """
-    axes = (map(float, values) for values in (values_a, values_b, values_theta))
+    xs_a, xs_b, xs_t = ([float(v) for v in axis] for axis in (values_a, values_b, values_theta))
+    f_rows = [[kernel_f(x_b, x_theta, spec) for x_theta in xs_t] for x_b in xs_b]
+    k_rows = [[kernel_k(x_a, x_b, spec) for x_b in xs_b] for x_a in xs_a]
     return [
-        (x_a, x_b, x_theta)
-        + kernel_pgs(x_a, x_b, x_theta, spec)
-        + (kernel_f(x_b, x_theta, spec), kernel_k(x_a, x_b, spec))
-        for x_a, x_b, x_theta in itertools.product(*axes)
+        (x_a, x_b, x_theta) + kernel_pgs(x_a, x_b, x_theta, spec) + (f, k)
+        for x_a, k_row in zip(xs_a, k_rows)
+        for x_b, f_row, k in zip(xs_b, f_rows, k_row)
+        for x_theta, f in zip(xs_t, f_row)
     ]

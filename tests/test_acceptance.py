@@ -6,6 +6,8 @@ prints).  These are intentionally end-to-end and slower than the unit tests;
 the whole gate takes about half a minute.
 """
 
+import pytest
+
 from emlab import acceptance
 
 
@@ -58,3 +60,16 @@ class TestAcceptance:
 
     def test_criterion_13_rotation_equivariance(self):
         _check(13)
+
+
+def test_run_one_rejects_numbers_outside_the_table(monkeypatch):
+    """A number outside 1..len(CRITERIA) raises before any check runs."""
+    ran = []
+    spies = tuple((title, lambda title=title: ran.append(title) or (True, ""))
+                  for title, _ in acceptance.CRITERIA)
+    monkeypatch.setattr(acceptance, "CRITERIA", spies)
+    for number in (0, len(spies) + 1):
+        with pytest.raises(ValueError, match="criterion number"):
+            acceptance.run_one(number)
+    assert ran == []
+    assert acceptance.run_one(len(spies)).title == ran[0] == spies[-1][0]

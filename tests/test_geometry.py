@@ -133,10 +133,10 @@ class TestPlanarReduce:
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(min_value=1, max_value=8), seed=st.integers(0, 2**32 - 1))
     def test_split_of_theta_star(self, d, seed):
-        """theta1 e1 + theta2 u2 rebuilds theta_star; theta2 u2 is orthogonal
-        to e1 and u2 a unit vector (exactly zero in d = 1, and theta2
-        rounding-sized for a collinear b, where u2 is a rounding residue's
-        direction), and theta1 is exactly zero for disjoint supports."""
+        """theta1 e1 + theta2 u2 rebuilds theta_star; u2 is a unit vector
+        orthogonal to e1 whenever theta2 > 0, also for a collinear b, where
+        theta2 is rounding-sized, and exactly zero in d = 1; theta1 is
+        exactly zero for disjoint supports."""
         rng = np.random.default_rng(seed)
         model = MixtureModel(d, rng.uniform(0.1, 5.0) * rng.standard_normal(d))
         scale = model.norm_theta
@@ -147,8 +147,8 @@ class TestPlanarReduce:
                 theta1 * c.e1 + theta2 * c.u2, model.theta_star, rtol=0.0, atol=1e-12
             )
             assert theta2 >= 0.0
-            assert abs(float(c.e1 @ c.u2)) * theta2 <= 1e-12 * scale
             if theta2 > 0.0:
+                assert abs(float(c.e1 @ c.u2)) <= 1e-12
                 assert abs(float(np.linalg.norm(c.u2)) - 1.0) <= 1e-12
             else:
                 assert np.all(c.u2 == 0.0)
@@ -161,6 +161,18 @@ class TestPlanarReduce:
             theta = np.concatenate([np.zeros(k), rng.standard_normal(d - k)])
             c = planar_reduce(ABState(np.zeros(d), b), MixtureModel(d, theta))
             assert c.theta[0] == 0.0
+
+    def test_collinear_up_to_rounding(self):
+        """b equal to theta_star, whose split along e1 leaves a rounding
+        residue: u2 stays orthogonal to e1, so a collinear a has no part along
+        u2 or off the plane, and the first step moves 0.056 < 0.1, which
+        ends the run with one record."""
+        model = MixtureModel(2, [1.0, 0.3])
+        state = ABState([0.1, 0.03], model.theta_star)
+        c = planar_reduce(state, model)
+        assert abs(c.z[1]) <= 1e-12 and abs(c.z[2]) <= 1e-12
+        traj = run(state, model, StopRule(10, 0.1))
+        assert traj.converged and len(traj.records) == 1
 
     def test_scalar_coordinates(self):
         """The plane state is (x_a, <a, u2>, |a off the plane|, |b|, 0), and
