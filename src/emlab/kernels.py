@@ -25,7 +25,16 @@ each lobe: T0 = int t phi(y -+ x_theta) dy, T1 = int t y phi(y -+ x_theta) dy,
 
 so P(x_a, 0, x_theta) == 0.5, S(x_a, x_b, +-0.0) == 0.0 and
 Gamma(0, x_b, 0) == F(x_b, 0) / 2 hold bit for bit.  At x_theta == +-0.0 the
-lobes are one (+-0.0 + nodes is the same array), so it is summed once.
+lobes are one (+-0.0 + nodes is the same array), so a call whose every
+x_theta is +-0.0 sums it once.
+
+Every kernel takes floats or 1-D arrays of points (broadcast against each
+other): floats in give floats out, arrays in give one array per value.
+Both lobes of every point under both rules (N and 2N nodes) go through one
+array pass, and each lobe sum is its own BLAS dot over the node axis, so a
+point's values equal its one-point call bit for bit, however the points are
+split between calls.  The N/2N self-check runs per point, and NonConvergence
+names the worst point.
 
 The kernel_* functions accept any finite real x_a / x_theta: the integrals
 are well defined there, and the planar reduction of the population step
@@ -55,8 +64,9 @@ from .errors import DomainError
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
-    _gh_rule,
+    _gh_pair,
     _self_checked,
+    _two_rules,
     integrate_against_gaussian,
     std_normal_cdf,
     std_normal_pdf,
@@ -65,6 +75,9 @@ from .quadrature import (
 from .quadrature import integrate_against_mixture, integrate_against_mixture_diff  # noqa: F401
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+# points per kernel call in tabulate: small enough that a call's node block
+# stays in cache, large enough to spread the per-call cost
+_CHUNK = 64
 
 
 def weight_1d(u, x_b):
@@ -72,56 +85,81 @@ def weight_1d(u, x_b):
     return 0.5 * (1.0 + np.tanh(u * x_b))
 
 
-def kernel_pgs(
-    x_a: float, x_b: float, x_theta: float, spec: QuadratureSpec = DEFAULT_SPEC
-) -> tuple[float, float, float]:
-    """(P, Gamma, S) from one tanh pass per lobe and resolution, each value
-    self-checked.  The sums run over t, not w = (1 + t)/2: the constant half
-    would leave the rounding of int y p(y) dy (~1e-17) in Gamma at small x_b."""
-
-    def at(n: int) -> tuple[float, float, float]:
-        nodes, weights = _gh_rule(n)
-        t0, t1 = [], []
-        for center in (x_theta,) if x_theta == 0.0 else (x_theta, -x_theta):
-            y = center + nodes
-            t = np.tanh((y - x_a) * x_b)
-            t0.append(float(np.dot(weights, t)))
-            t1.append(float(np.dot(weights, t * y)))
-        return 0.5 + 0.25 * (t0[0] + t0[-1]), 0.25 * (t1[0] + t1[-1]), 0.25 * (t0[0] - t0[-1])
-
-    return _self_checked(at, f"(P, Gamma, S) quadrature at x_theta {x_theta!r}", spec)
+def _points(*values) -> list[np.ndarray]:
+    """The arguments as float arrays of one broadcast shape."""
+    points = [np.asarray(v, dtype=float) for v in values]
+    return np.broadcast_arrays(*points) if any(p.ndim for p in points) else points
 
 
-def kernel_p(x_a: float, x_b: float, x_theta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def kernel_pgs(x_a, x_b, x_theta, spec: QuadratureSpec = DEFAULT_SPEC) -> tuple:
+    """(P, Gamma, S) from one tanh pass over both lobes and both rules, each
+    value self-checked per point.  The sums run over t, not w = (1 + t)/2: the
+    constant half would leave the rounding of int y p(y) dy (~1e-17) in Gamma
+    at small x_b."""
+    x_a, x_b, x_t = _points(x_a, x_b, x_theta)
+    centers = np.array((x_t, -x_t) if np.count_nonzero(x_t) else (x_t,))
+    nodes, w_n, w_2n = _gh_pair(spec.nodes_per_lobe)
+    # block = (t, t * y) on the nodes y of both rules, built in place so a
+    # chunk of points holds no temporaries
+    block = np.empty((2,) + centers.shape + nodes.shape)
+    t, ty = block
+    np.add(centers[..., None], nodes, out=ty)
+    np.subtract(ty, x_a[..., None], out=t)
+    t *= x_b[..., None]
+    np.tanh(t, out=t)
+    ty *= t
+    # sums[r, k, lobe]: rule r (N, 2N) of t (k = 0) and t * y (k = 1)
+    sums = _two_rules(block, w_n, w_2n)
+    plus, minus = sums[:, :, 0], sums[:, :, -1]
+    # values[r] = (P, Gamma, S) under rule r
+    values = np.empty((2, 3) + x_t.shape)
+    np.add(plus, minus, out=values[:, :2])
+    np.subtract(plus[:, 0], minus[:, 0], out=values[:, 2])
+    values *= 0.25
+    values[:, 0] += 0.5
+    coarse, fine = values
+    pgs = _self_checked(
+        coarse, fine, "(P, Gamma, S) quadrature", {"x_a": x_a, "x_b": x_b, "x_theta": x_t}, spec
+    )
+    return tuple(pgs.tolist() if pgs.ndim == 1 else pgs)
+
+
+def kernel_p(x_a, x_b, x_theta, spec: QuadratureSpec = DEFAULT_SPEC):
     """int w(y - x_a, x_b) p(y, x_theta) dy; exactly 0.5 at x_b == 0."""
     return kernel_pgs(x_a, x_b, x_theta, spec)[0]
 
 
-def kernel_gamma(x_a: float, x_b: float, x_theta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def kernel_gamma(x_a, x_b, x_theta, spec: QuadratureSpec = DEFAULT_SPEC):
     """int w(y - x_a, x_b) * y * p(y, x_theta) dy."""
     return kernel_pgs(x_a, x_b, x_theta, spec)[1]
 
 
-def kernel_s(x_a: float, x_b: float, x_theta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def kernel_s(x_a, x_b, x_theta, spec: QuadratureSpec = DEFAULT_SPEC):
     """int w(y - x_a, x_b) Delta(y, x_theta) dy; exactly 0.0 at x_theta == 0."""
     return kernel_pgs(x_a, x_b, x_theta, spec)[2]
 
 
-def kernel_r(x_b: float, x: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def kernel_r(x_b, x, spec: QuadratureSpec = DEFAULT_SPEC):
     """0.5 * int w(y - x, x_b) * y * phi(y) dy; even in x, zero at x_b == 0."""
+    x_b, x = _points(x_b, x)
+    b, c = x_b[..., None], x[..., None]
     return 0.5 * integrate_against_gaussian(
-        lambda y: weight_1d(y - x, x_b) * y, 0.0, spec
+        lambda y: weight_1d(y - c, b) * y, np.zeros_like(x), spec
     )
 
 
-def kernel_f(x_b: float, x_theta: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def kernel_f(x_b, x_theta, spec: QuadratureSpec = DEFAULT_SPEC):
     """int tanh(u * x_b) * u * phi(u - x_theta) du; exactly 0.0 at x_b == 0."""
-    return integrate_against_gaussian(lambda u: np.tanh(u * x_b) * u, x_theta, spec)
+    x_b, x_theta = _points(x_b, x_theta)
+    b = x_b[..., None]
+    return integrate_against_gaussian(lambda u: np.tanh(u * b) * u, x_theta, spec)
 
 
-def kernel_k(x: float, x_b: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def kernel_k(x, x_b, spec: QuadratureSpec = DEFAULT_SPEC):
     """int 0.5 * tanh(y * x_b) * phi(y - x) dy; exactly 0.0 at x_b == 0."""
-    return integrate_against_gaussian(lambda y: 0.5 * np.tanh(y * x_b), x, spec)
+    x, x_b = _points(x, x_b)
+    b = x_b[..., None]
+    return integrate_against_gaussian(lambda y: 0.5 * np.tanh(y * b), x, spec)
 
 
 class AuxBounds(NamedTuple):
@@ -150,21 +188,34 @@ def eval_aux_bounds(x: float) -> AuxBounds:
     return AuxBounds(l=l, W=w, J=j, mills_gap=mills_gap)
 
 
+def _chunked(kernel, spec: QuadratureSpec, *points: np.ndarray) -> np.ndarray:
+    """``kernel`` over 1-D point arrays, _CHUNK points per call, its values
+    stacked along axis 0 (one row per value for a kernel of several)."""
+    parts = [
+        kernel(*(p[lo:lo + _CHUNK] for p in points), spec)
+        for lo in range(0, points[0].size, _CHUNK)
+    ]
+    return np.concatenate(parts, axis=-1)
+
+
 def tabulate(
     values_a, values_b, values_theta, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> list[tuple[float, float, float, float, float, float, float, float]]:
     """Evaluate (P, Gamma, S, F, K) on the Cartesian grid of the three axes.
 
-    Returns rows (x_a, x_b, x_theta, P, Gamma, S, F, K) in row-major order,
-    matching the CSV layout of the command-line tabulator.  F and K are
-    evaluated once per (x_b, x_theta) and (x_a, x_b) grid pair.
+    Returns rows (x_a, x_b, x_theta, P, Gamma, S, F, K) of Python floats in
+    row-major order, matching the CSV layout of the command-line tabulator.
+    F and K are evaluated once per (x_b, x_theta) and (x_a, x_b) grid pair,
+    and every kernel runs over chunks of _CHUNK points; each value equals its
+    one-point call bit for bit.
     """
-    xs_a, xs_b, xs_t = ([float(v) for v in axis] for axis in (values_a, values_b, values_theta))
-    f_rows = [[kernel_f(x_b, x_theta, spec) for x_theta in xs_t] for x_b in xs_b]
-    k_rows = [[kernel_k(x_a, x_b, spec) for x_b in xs_b] for x_a in xs_a]
-    return [
-        (x_a, x_b, x_theta) + kernel_pgs(x_a, x_b, x_theta, spec) + (f, k)
-        for x_a, k_row in zip(xs_a, k_rows)
-        for x_b, f_row, k in zip(xs_b, f_rows, k_row)
-        for x_theta, f in zip(xs_t, f_row)
-    ]
+    x_a, x_b, x_t = np.meshgrid(
+        *(np.asarray(axis, dtype=float) for axis in (values_a, values_b, values_theta)),
+        indexing="ij",
+    )
+    shape = x_a.shape
+    f = _chunked(kernel_f, spec, x_b[0].ravel(), x_t[0].ravel()).reshape(shape[1:])
+    k = _chunked(kernel_k, spec, x_a[..., 0].ravel(), x_b[..., 0].ravel())
+    pgs = _chunked(kernel_pgs, spec, x_a.ravel(), x_b.ravel(), x_t.ravel())
+    f, k = np.broadcast_to(f, shape), np.broadcast_to(k.reshape(shape[:2] + (1,)), shape)
+    return list(zip(*(np.ravel(c).tolist() for c in (x_a, x_b, x_t, *pgs, f, k))))

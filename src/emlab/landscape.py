@@ -34,7 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ABState, MeanPair, MixtureModel, planar_reduce, state_distance, to_ab
+from .errors import DimensionMismatch
+from .geometry import ABState, MeanPair, MixtureModel, _norm, state_distance, to_ab
+# not called here; kept importable because the benchmark tracer (perfbench/spans.py) wraps it
+from .geometry import planar_reduce  # noqa: F401
 from .population import model2_step
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_against_mixture
 
@@ -70,18 +73,19 @@ def expected_loglik(
     means: MeanPair, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
     """Population expected log-likelihood G(mu1, mu2) under `model`."""
-    state = to_ab(means)
-    coords = planar_reduce(state, model)
-    x_a, norm_b, t1 = coords.z[0], coords.z[3], coords.theta[0]
     d = model.dim
-    quad_part = -0.5 * d * _LOG_2PI - 0.5 * (
-        d
-        + model.norm_theta**2
-        + float(state.a @ state.a)
-        + norm_b**2
-    )
+    if means.mu1.size != d:
+        raise DimensionMismatch(f"state has dimension {means.mu1.size}, model has {d}")
+    # to_ab's and planar_reduce's own arithmetic for a, b, x_a, ||b|| and
+    # theta1, without building the state and the rest of its frame
+    a = 0.5 * (means.mu1 + means.mu2)
+    b = 0.5 * (means.mu2 - means.mu1)
+    norm_b = _norm(b)
+    quad_part = -0.5 * d * _LOG_2PI - 0.5 * (d + model.norm_theta**2 + float(a @ a) + norm_b**2)
     if norm_b == 0.0:
         return quad_part
+    x_a = float(np.dot(a, b)) / norm_b
+    t1 = float((b / norm_b) @ model.theta_star)
     cosh_part = integrate_against_mixture(
         lambda y: _log_cosh(norm_b * (y - x_a)), t1, spec
     )

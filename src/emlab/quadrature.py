@@ -10,14 +10,26 @@ single Gaussian lobe reduce to Gauss-Hermite form by y = c + sqrt(2) u:
 
     int f(y) phi(y - c) dy  ~=  sum_i (w_i / sqrt(pi)) * f(c + sqrt(2) u_i),
 
-where (u_i, w_i) are the Hermite nodes and weights.  Mixture integrals are
-the average of the two lobe sums centered at +x_theta and -x_theta.  Every
-integrator evaluates its rule at N and 2N nodes per lobe and raises
-:class:`NonConvergence` when the two disagree beyond the requested absolute
-tolerance; the finer value is returned.
+where (u_i, w_i) are the Hermite nodes and weights.  A rule keeps only the
+nodes whose normalised weight w_i / sqrt(pi) is at least 1e-40: rules of up
+to 32 nodes keep every node, the default 512/1024-node rules keep 190/270
+(all within |y| <= 13.3), and for every rule up to 2048 nodes the dropped
+weight times (1 + |y|)^4 sums to less than 1e-35, far below the rounding of
+any integrand that grows at most like y^4.
 
-Integrand callables must accept numpy arrays (they are evaluated on the full
-node vector at once).
+Mixture integrals are the average of the two lobe sums centered at +x_theta
+and -x_theta.  Every integrator evaluates its rule at N and 2N nodes per lobe
+and raises :class:`NonConvergence` when the two disagree beyond the requested
+absolute tolerance; the finer value is returned.
+
+The integrators are shape-generic: a float center (or x_theta) gives a float,
+a 1-D array of them gives an array with one integral per point.  The
+integrand is called once, on the nodes of both rules and both lobes of every
+point at once (the block c[..., None] + y), so it must act elementwise and
+broadcast any per-point parameter as p[..., None].  Each point's sum under
+each rule is its own BLAS dot over the node axis (np.vecdot), so a point's
+value does not depend on which other points share its call.  The self-check
+runs per point, and NonConvergence names the worst one.
 """
 
 from __future__ import annotations
@@ -37,6 +49,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 # the smallest Gauss-Hermite rule a spec (and the CLI schema) accepts
 MIN_NODES_PER_LOBE = 16
+# nodes whose normalised weight lies below this floor are dropped from a rule
+_WEIGHT_FLOOR = 1e-40
 
 
 @dataclass(frozen=True)
@@ -69,12 +83,16 @@ def _gh_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights such that int f(y) phi(y) dy ~= dot(w, f(y_nodes)).
 
     scipy's Hermite rule stays stable for the large node counts the hyperbolic
-    weight needs (numpy's hermgauss overflows past a few hundred nodes).
+    weight needs (numpy's hermgauss overflows past a few hundred nodes).  Only
+    the nodes with normalised weight >= 1e-40 are kept; the rule stays mirror
+    symmetric, and the dropped tail, weight times (1 + |y|)^4, sums to less
+    than 1e-35 for every n <= 2048.
     """
     u, w = roots_hermite(n)
-    y = _SQRT2 * u
-    y.setflags(write=False)
     w = w * _INV_SQRT_PI
+    live = w >= _WEIGHT_FLOOR
+    y, w = _SQRT2 * u[live], w[live]
+    y.setflags(write=False)
     w.setflags(write=False)
     return y, w
 
@@ -94,57 +112,85 @@ def mixture_pdf_1d(y, x_theta):
     return 0.5 * (std_normal_pdf(y - x_theta) + std_normal_pdf(y + x_theta))
 
 
-def _lobe_sum(f: Callable, center: float, n: int) -> float:
-    y, w = _gh_rule(n)
-    return float(np.dot(w, f(center + y)))
+@lru_cache(maxsize=64)
+def _gh_pair(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes of the n- and 2n-node rules side by side, and their weights."""
+    (y_n, w_n), (y_2n, w_2n) = _gh_rule(n), _gh_rule(2 * n)
+    y = np.concatenate((y_n, y_2n))
+    y.setflags(write=False)
+    return y, w_n, w_2n
 
 
-def _self_checked(rule: Callable[[int], tuple], what: str, spec: QuadratureSpec) -> tuple:
-    """``rule(2N)``, after checking each value against ``rule(N)`` (N = nodes_per_lobe)."""
-    coarse = rule(spec.nodes_per_lobe)
-    fine = rule(2 * spec.nodes_per_lobe)
-    gaps = [abs(f - c) for f, c in zip(fine, coarse)]
-    if any(gap > spec.abs_tol for gap in gaps):
+def _two_rules(values: np.ndarray, w_n: np.ndarray, w_2n: np.ndarray) -> np.ndarray:
+    """The N- and 2N-node sums of values laid out on the _gh_pair nodes,
+    stacked along a new axis 0."""
+    k = w_n.size
+    out = np.empty((2,) + values.shape[:-1])
+    np.vecdot(values[..., :k], w_n, out=out[0, ...])
+    np.vecdot(values[..., k:], w_2n, out=out[1, ...])
+    return out
+
+
+def _lobe_sums(f: Callable, centers: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
+    """sum_i w_i f(c + y_i) for each center c under the N- and 2N-node rules
+    (stacked along axis 0), from one call of f; one BLAS dot per center and
+    rule."""
+    y, w_n, w_2n = _gh_pair(spec.nodes_per_lobe)
+    return _two_rules(f(centers[..., None] + y), w_n, w_2n)
+
+
+def _self_checked(
+    coarse: np.ndarray, fine: np.ndarray, what: str, points: dict, spec: QuadratureSpec
+) -> np.ndarray:
+    """``fine``, the 2N-node values, after checking them against ``coarse``,
+    the N-node ones.  Both hold any number of values per point, stacked in
+    front of the shape of the point arrays in ``points`` (name -> array); on
+    failure the message names the point with the largest gap."""
+    gap = np.abs(fine - coarse)
+    if np.fmax.reduce(gap, axis=None) > spec.abs_tol:
+        shape = next(iter(points.values())).shape
+        gap = np.fmax.reduce(gap.reshape((-1,) + shape), axis=0)
+        worst = np.unravel_index(np.nanargmax(gap), shape)
+        where = ", ".join(f"{name} {float(value[worst])!r}" for name, value in points.items())
         raise NonConvergence(
-            f"{what} did not settle: "
-            f"|I_2N - I_N| = {max(gaps):.3e} > {spec.abs_tol:.3e}"
+            f"{what} at {where} did not settle: "
+            f"|I_2N - I_N| = {gap[worst]:.3e} > {spec.abs_tol:.3e}"
         )
     return fine
 
 
-def integrate_against_gaussian(
-    f: Callable, center: float, spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
+def _scalar_or_array(values: np.ndarray):
+    """A 0-d result as a Python float, any other as the array itself."""
+    return float(values) if values.ndim == 0 else values
+
+
+def integrate_against_gaussian(f: Callable, center, spec: QuadratureSpec = DEFAULT_SPEC):
     """int f(y) phi(y - center) dy with the two-resolution self-check."""
-    return _self_checked(
-        lambda n: (_lobe_sum(f, center, n),), f"Gaussian quadrature at center {center!r}", spec
-    )[0]
+    c = np.asarray(center, dtype=float)
+    coarse, fine = _lobe_sums(f, c, spec)
+    return _scalar_or_array(_self_checked(coarse, fine, "Gaussian quadrature", {"center": c}, spec))
 
 
-def integrate_against_mixture(
-    f: Callable, x_theta: float, spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
+def _mixture(f: Callable, x_theta, sign: float, what: str, spec: QuadratureSpec):
+    """0.5 * (lobe at +x_theta + sign * lobe at -x_theta), both lobes in one pass."""
+    x_t = np.asarray(x_theta, dtype=float)
+    sums = _lobe_sums(f, np.array((x_t, -x_t)), spec)
+    coarse, fine = 0.5 * (sums[:, 0] + sign * sums[:, 1])
+    return _scalar_or_array(_self_checked(coarse, fine, what, {"x_theta": x_t}, spec))
+
+
+def integrate_against_mixture(f: Callable, x_theta, spec: QuadratureSpec = DEFAULT_SPEC):
     """int f(y) p(y, x_theta) dy as the average of the two lobe sums."""
-    return _self_checked(
-        lambda n: (0.5 * (_lobe_sum(f, +x_theta, n) + _lobe_sum(f, -x_theta, n)),),
-        f"mixture quadrature at x_theta {x_theta!r}",
-        spec,
-    )[0]
+    return _mixture(f, x_theta, 1.0, "mixture quadrature", spec)
 
 
-def integrate_against_mixture_diff(
-    f: Callable, x_theta: float, spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
+def integrate_against_mixture_diff(f: Callable, x_theta, spec: QuadratureSpec = DEFAULT_SPEC):
     """int f(y) Delta(y, x_theta) dy (the signed half-difference of lobes).
 
     Returns exactly 0.0 for x_theta == 0, since the two lobe sums are then
     the same floating-point number.
     """
-    return _self_checked(
-        lambda n: (0.5 * (_lobe_sum(f, +x_theta, n) - _lobe_sum(f, -x_theta, n)),),
-        f"signed mixture quadrature at x_theta {x_theta!r}",
-        spec,
-    )[0]
+    return _mixture(f, x_theta, -1.0, "signed mixture quadrature", spec)
 
 
 def adaptive_simpson(

@@ -541,24 +541,38 @@ class TestMainErrors:
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     """A threaded BLAS splits a full-length X^T t over its threads, which once
     made this d = 2, n = 1e6 run write different bytes under 1 and 2 threads;
-    fixed-order row blocks and the one-thread pin keep the bytes equal."""
-    cfg = _write_config(tmp_path, {
-        "command": "run-sample",
-        "model": {"d": 2, "theta_star": [1.0, 0.2]},
-        "n": 1_000_000,
-        "seed": 3,
-        "stop": {"max_iters": 50, "step_tol": 0},
-    })
+    fixed-order row blocks and the one-thread pin keep the bytes equal.  The
+    kernel table sums each point's lobes with its own dot per row; a matrix
+    product over a block of points could change a row's bits with the thread
+    count or the block size, so the table is compared too."""
+    configs = {
+        "run-sample": _write_config(tmp_path, {
+            "command": "run-sample",
+            "model": {"d": 2, "theta_star": [1.0, 0.2]},
+            "n": 1_000_000,
+            "seed": 3,
+            "stop": {"max_iters": 50, "step_tol": 0},
+        }),
+        "kernels": _write_config(tmp_path, {
+            "command": "kernels",
+            "grid": {ax: {"lo": 0.0, "hi": 2.5, "count": 6} for ax in ("x_a", "x_b", "x_theta")},
+        }, name="kernels.json"),
+    }
     src = str(Path(emlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     artifacts = []
     for threads in ("1", "2"):
-        out = tmp_path / f"threads-{threads}"
-        subprocess.run(
-            [sys.executable, "-c", "import sys; from emlab.cli import main; sys.exit(main(sys.argv[1:]))",
-             "run-sample", "--config", cfg, "--out", str(out)],
-            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
-            check=True, capture_output=True, timeout=300,
-        )
-        artifacts.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        written = {}
+        for command, cfg in configs.items():
+            out = tmp_path / f"{command}-threads-{threads}"
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from emlab.cli import main; sys.exit(main(sys.argv[1:]))",
+                 command, "--config", cfg, "--out", str(out)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+                check=True, capture_output=True, timeout=300,
+            )
+            written.update({(command, f.name): f.read_bytes() for f in sorted(out.iterdir())})
+        artifacts.append(written)
+    assert ("kernels", "kernels.csv") in artifacts[0]
     assert artifacts[0] == artifacts[1]

@@ -143,6 +143,58 @@ class TestCore:
             kernel_pgs(0.3, 8.0, 1.0, QuadratureSpec(nodes_per_lobe=16, abs_tol=1e-14))
 
 
+# points with the exact cases mixed in: the orthogonal slice x_theta = +-0.0
+# (one lobe when a call holds only such points) and the flat weight x_b = 0
+batch_point = st.tuples(
+    st.floats(-4.0, 4.0) | st.just(0.0),
+    st.floats(0.0, 2.5) | st.just(0.0),
+    st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0]),
+)
+
+
+class TestBatches:
+    """Every kernel takes 1-D arrays of points; each point's values are its
+    one-point call's, bit for bit, however the points are split."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(points=st.lists(batch_point, min_size=1, max_size=12), chunk=st.integers(1, 12))
+    def test_chunked_arrays_equal_one_point_calls_byte_for_byte(self, points, chunk):
+        x_a, x_b, x_t = (np.array(axis) for axis in zip(*points))
+
+        def one_point(a, b, t):
+            return [*kernel_pgs(a, b, t), kernel_f(b, t), kernel_k(a, b), kernel_r(b, a)]
+
+        def batch(a, b, t):
+            return np.array([*kernel_pgs(a, b, t), kernel_f(b, t), kernel_k(a, b), kernel_r(b, a)])
+
+        expected = np.array([one_point(*p) for p in points])
+        got = np.concatenate([
+            batch(x_a[lo:lo + chunk], x_b[lo:lo + chunk], x_t[lo:lo + chunk]).T
+            for lo in range(0, len(points), chunk)
+        ])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_floats_in_give_floats_out(self):
+        assert all(type(v) is float for v in kernel_pgs(0.3, 1.0, 0.5))
+        others = (kernel_f(1.0, 0.5), kernel_k(0.3, 1.0), kernel_r(1.0, 0.3))
+        assert all(type(v) is float for v in others)
+        p, g, s = kernel_pgs(np.array([0.3]), 1.0, np.array([0.5, -0.5]))
+        assert p.shape == g.shape == s.shape == (2,)
+
+    def test_a_batch_names_its_unresolved_point(self):
+        """At x_b = 8 the 16-node rule cannot resolve the weight (as in
+        test_rough_rule_fails_its_self_check); the points around it settle on
+        their own, and the batch's error names the one that does not."""
+        rough = QuadratureSpec(nodes_per_lobe=16, abs_tol=1e-3)
+        x_a = np.array([0.0, -0.4, 0.3, 1.2])
+        x_b = np.array([0.2, 1.0, 8.0, 0.5])
+        x_t = np.array([0.0, 0.5, 1.0, -0.7])
+        for i in (0, 1, 3):
+            kernel_pgs(x_a[i], x_b[i], x_t[i], rough)
+        with pytest.raises(NonConvergence, match="at x_a 0.3, x_b 8.0, x_theta 1.0 did not settle"):
+            kernel_pgs(x_a, x_b, x_t, rough)
+
+
 class TestSpotValues:
     def test_P_at_zero_offset(self):
         """P(0, x_b, x_theta) = 1/2: the weight is balanced over the mixture."""

@@ -5,10 +5,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import roots_hermite
 
-from emlab import NonConvergence, QuadratureSpec, StopRule
+from emlab import (
+    NonConvergence,
+    QuadratureSpec,
+    StopRule,
+    kernel_f,
+    kernel_k,
+    kernel_pgs,
+    kernel_r,
+    quadrature,
+)
+from emlab.landscape import _log_cosh
 from emlab.quadrature import (
     DEFAULT_SPEC,
+    _gh_rule,
     adaptive_simpson,
     integrate_against_gaussian,
     integrate_against_mixture,
@@ -133,6 +147,70 @@ class TestSelfCheck:
     def test_smooth_integrand_passes_at_low_order(self):
         rough = QuadratureSpec(nodes_per_lobe=32, abs_tol=1e-9)
         assert integrate_against_gaussian(lambda y: y * y, 0.0, rough) == pytest.approx(1.0, rel=1e-10)
+
+
+def _untrimmed_rule(n):
+    """The whole n-node rule, scaled as _gh_rule scales it."""
+    u, w = roots_hermite(n)
+    return math.sqrt(2.0) * u, w * (1.0 / math.sqrt(math.pi))
+
+
+class TestTrimmedRule:
+    """_gh_rule keeps only the nodes whose normalised weight is >= 1e-40."""
+
+    RULE_SIZES = [2**k for k in range(4, 12)]  # 16 ... 2048
+
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_small_rules_are_whole_and_large_ones_keep_the_live_nodes(self, n):
+        y, w = _gh_rule(n)
+        full_y, full_w = _untrimmed_rule(n)
+        live = full_w >= 1e-40
+        if n <= 32:
+            assert live.all()
+        assert y.tobytes() == full_y[live].tobytes()
+        assert w.tobytes() == full_w[live].tobytes()
+
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_mirror_symmetric_bit_for_bit(self, n):
+        y, w = _gh_rule(n)
+        assert np.array_equal(y[::-1], -y)
+        assert np.array_equal(w[::-1], w)
+
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_dropped_tail_is_negligible_for_quartic_integrands(self, n):
+        y, w = _untrimmed_rule(n)
+        dead = w < 1e-40
+        assert float(np.sum(w[dead] * (1.0 + np.abs(y[dead])) ** 4)) < 1e-30
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        x_a=st.floats(-6.0, 6.0),
+        x_b=st.floats(0.0, 3.0),
+        x_t=st.floats(-6.0, 6.0),
+    )
+    def test_kernels_agree_with_the_untrimmed_rule(self, x_a, x_b, x_t):
+        """P, Gamma, S, F, K, R and the landscape's log-cosh mixture integral
+        move by at most 2e-15 at unit scale (relative above 1) when the dead
+        tail is kept: the change is summation order, not accuracy."""
+
+        def values():
+            log_cosh = quadrature.integrate_against_mixture(
+                lambda y: _log_cosh(x_b * (y - x_a)), x_t
+            )
+            return np.array([
+                *kernel_pgs(x_a, x_b, x_t), kernel_f(x_b, x_t), kernel_k(x_a, x_b),
+                kernel_r(x_b, x_a), log_cosh,
+            ])
+
+        trimmed = values()
+        quadrature._gh_pair.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(quadrature, "_gh_rule", _untrimmed_rule)
+                full = values()
+        finally:
+            quadrature._gh_pair.cache_clear()
+        assert np.all(np.abs(trimmed - full) <= 2e-15 * np.maximum(1.0, np.abs(full)))
 
 
 class TestAdaptiveSimpson:
