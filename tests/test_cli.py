@@ -172,6 +172,24 @@ _SMALL = {
     "verify": {"criteria": [11]},
 }
 _CHANGED = {"seed": 1, "model": {"theta_star": [1.5, 0.0]}, "quadrature": {"abs_tol": 1e-300}}
+# the config hash of each command on {} and on its _SMALL config; a change to
+# any resolved dict (a default, a float's form, a key) changes one of these
+_HASHES = {
+    "run-population": ("835c5df708ccc338a0f976864832e55bd6f8473aff32ff49c14a4ca54e777dff",
+                       "9e1f793a7b33c64a44fbe7a68c420f1403b5c58dd86712fe4e6afeeab345a596"),
+    "run-sample": ("5a7cbaba89ee0e34cb2e617b56fb9e82054471539d49998da7fe1a25425429c2",
+                   "129e1307503e77ba36ad62a338576f73c7ecc3dd9ae233d1c4639fd62c895e89"),
+    "coupled": ("657ba4ddc6d35e4c88844df963b584059c3d60dfe2e35222c5b1c2a23bc37980",
+                "74a5323ff82858e51cd26040153f7fc8586b8a70da46b8fdc06b039106f2ff17"),
+    "landscape": ("b93a1470f5611748c852ae9a6e77894addb391429d9e1b8776d43ce2c5067d4b",
+                  "fb3ea3f418159188bb88bb178b7f4271a70b6a8bab25218154464b01c32e8032"),
+    "kernels": ("5f9d242731dbdb52efd6553e5fee37911e12addaf80445ffe8a973cfa26e546a",
+                "6cf8a02edc1b5795103838db21e9d1f62ada40ff3da15c9f572b739072e0c22e"),
+    "consistency": ("e738efe481e6c23c163c4a26bddd222c22cb94deefe46c96172bbf0f57656c72",
+                    "7b77b037911a6d6410cea93a04f3ce6768b2471793ec9078a264f9939f72d0e8"),
+    "verify": ("6c866672dee990de6d7465f59e0b4f2d191ca7998dd95ade6b403c06a6340043",
+               "a876717e78dec822fd15052a894a2533d9c23197b49c752315eceaa5e8caf77f"),
+}
 
 
 def _data(out):
@@ -191,6 +209,12 @@ def _data(out):
 class TestSchema:
     """Each command takes exactly the seed, model and quadrature it reads,
     and each one it takes changes what it writes."""
+
+    @pytest.mark.parametrize("command", list(_HASHES))
+    def test_config_hashes_unchanged(self, command):
+        hashes = tuple(config_hash(resolve_config(config, command)[0])
+                       for config in ({}, _SMALL[command]))
+        assert hashes == _HASHES[command]
 
     @pytest.mark.parametrize("command, key", [
         (command, key) for command, reads in _READS.items()
