@@ -1,48 +1,15 @@
 """Command-line front end: JSON config in, reproducible CSV/JSON artifacts out.
 
-Usage::
-
-    emlab run-population --config experiment.json --out results/
-    emlab kernels --out tables/
-    emlab verify
-
-Every subcommand accepts ``--config PATH`` (JSON) and ``--out DIR``.  Each
-command reads only the top-level keys ``_KEYS`` lists for it (bracketed
-below); any other key or unknown field is a config error naming its path.
-``--seed N`` overrides the seed, so only run-sample, coupled and consistency
-take it.  Exit status: 0 on success, 1 when ``verify`` has a failing
-criterion, 2 on a config error, 3 on a numerical error (a quadrature rule
-failing its self-check or degenerate posterior weights), reported as one
-``numerical error: ...`` line on stderr.
+Usage: ``emlab <command> [--config PATH] [--out DIR] [--seed N]``.  Each
+command reads only the top-level config keys ``_KEYS`` lists for it.
+``_SCHEMA`` states each field's kind, default and bound once; the README's
+"Command line" section tabulates them, with the exit statuses.
 
 Reproducibility contract: with an identical config (seed included) every
 output file is byte-identical across runs.  Floats are serialized with
 ``repr`` (shortest round-trip form), JSON keys are sorted, and each artifact
 embeds the artifact version, the sha256 hash of the fully resolved config,
 and the resolved config itself.
-
-Config sections (all optional; defaults in parentheses)::
-
-    command      name matching the subcommand, as a cross-check  [all]
-    model        {"d", "theta_star" | "mu1"+"mu2", "sigma"}  (d=2, [1, 0]);
-                 mu1/mu2 centered (mu1 = -mu2); a sigma covariance is
-                 consumed by whitening theta_star  [all but kernels, verify]
-    quadrature   {"nodes_per_lobe", "abs_tol"}  (512, 1e-10)
-                 [run-population, coupled, landscape, kernels, consistency]
-    seed         seed of the data draw  (0)  [run-sample, coupled, consistency]
-    family       "free" | "symmetric"               [run-population]
-    init         {"a", "b"} or {"theta"}  (a=0, b=theta*/2)
-                 [run-population, run-sample, coupled, consistency]
-    stop         {"max_iters", "step_tol"}  (10000, 1e-10; 0 = no early stop)
-                 [run-population, run-sample]
-    n            sample size                        [run-sample, coupled]
-    T            step budget                        [coupled, consistency]
-    trials, n_ladder                                [consistency]
-    form         "ab" | "mu"                        [run-sample]
-    write_data   also dump the sampled dataset      [run-sample]
-    slice        {"a_lo","a_hi","a_steps","b_lo","b_hi","b_steps"} [landscape]
-    grid         {"x_a","x_b","x_theta"}, each {"lo","hi","count"}  [kernels]
-    criteria     criterion numbers                  [verify]
 """
 
 from __future__ import annotations
@@ -72,8 +39,6 @@ from .population import RATIO_FIELDS, StopRule, _sign_target, run, run_model1
 from .quadrature import MIN_NODES_PER_LOBE, QuadratureSpec
 from .sampling import run_sample, sample_mixture
 
-_DEFAULT_LADDER = (1_000, 10_000, 100_000, 1_000_000)
-
 _KEYS = {  # the top-level keys each command reads; any other key is a config error
     "run-population": ("command", "model", "quadrature", "family", "init", "stop"),
     "run-sample": ("command", "model", "seed", "init", "stop", "n", "form", "write_data"),
@@ -86,159 +51,169 @@ _KEYS = {  # the top-level keys each command reads; any other key is a config er
 }
 
 
-# ------------------------------------------------------------ field helpers
+# ------------------------------------------------------------------ config
 
 
-def _join(path, key):
-    return f"{path}.{key}" if path else str(key)
-
-
-def _expect_mapping(value, path):
-    if not isinstance(value, dict):
-        raise ConfigError(path, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _reject_unknown(section, allowed, path):
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(_join(path, key), "unknown field")
-
-
-def _int_field(section, key, path, default, minimum=None):
-    value = section.get(key, default)
+def _int(value, minimum, path):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(_join(path, key), f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(_join(path, key), f"must be >= {minimum}, got {value}")
+        raise ConfigError(path, f"expected an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(path, f"must be >= {minimum}, got {value}")
     return value
 
 
-def _float_field(section, key, path, default, positive=False):
-    value = section.get(key, default)
+def _float(value, sign, path):
+    """A finite number, as a float; ``sign`` is ">0", ">=0" or None."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(_join(path, key), f"expected a number, got {value!r}")
+        raise ConfigError(path, f"expected a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
-        raise ConfigError(_join(path, key), "must be finite")
-    if positive and value <= 0.0:
-        raise ConfigError(_join(path, key), f"must be > 0.0, got {value!r}")
+        raise ConfigError(path, "must be finite")
+    if sign == ">0" and value <= 0.0 or sign == ">=0" and value < 0.0:
+        raise ConfigError(path, f"must be {sign}, got {value!r}")
     return value
 
 
-def _vector_field(section, key, path, default, length=None):
-    value = section.get(key, default)
-    if value is None:
-        return None
-    if not isinstance(value, list) or not value:
-        raise ConfigError(_join(path, key), "expected a non-empty list of numbers")
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{_join(path, key)}[{i}]", f"expected a number, got {item!r}")
-        if not math.isfinite(float(item)):
-            raise ConfigError(f"{_join(path, key)}[{i}]", "must be finite")
-        out.append(float(item))
-    if length is not None and len(out) != length:
-        raise ConfigError(_join(path, key), f"expected length {length}, got {len(out)}")
-    return out
-
-
-def _choice_field(section, key, path, default, choices):
-    value = section.get(key, default)
-    if value not in choices:
-        raise ConfigError(
-            _join(path, key), f"expected one of {sorted(choices)}, got {value!r}"
-        )
+def _choice(value, choices, path):
+    """One of ``choices``, of the same type: 1 is not true, nor 1.0 the int 1."""
+    if not any(type(value) is type(choice) and value == choice for choice in choices):
+        raise ConfigError(path, f"expected one of {sorted(choices)}, got {value!r}")
     return value
 
 
-# --------------------------------------------------------- section resolvers
+def _list(value, bound, path):
+    """A list of ``shortest`` or more items, each checked by ``kind`` with ``item_bound``."""
+    shortest, kind, item_bound = bound
+    if not isinstance(value, list) or len(value) < shortest:
+        raise ConfigError(path, f"expected a list of {shortest} or more items")
+    return [kind(item, item_bound, f"{path}[{i}]") for i, item in enumerate(value)]
 
 
-def _resolve_model(raw):
-    section = _expect_mapping(raw.get("model", {}), "model")
-    _reject_unknown(section, ("d", "theta_star", "mu1", "mu2", "sigma"), "model")
-    theta = _vector_field(section, "theta_star", "model", None)
-    mu1 = _vector_field(section, "mu1", "model", None)
-    mu2 = _vector_field(section, "mu2", "model", None)
+def _section(raw, name, path, keys=None):
+    """Resolve a config object against ``_SCHEMA[name]``, reading only
+    ``keys`` (default: all of the section's).  Any other key is an error, an
+    absent key takes its default, and a present one, null included, is
+    checked against its kind."""
+    if not isinstance(raw, dict):
+        raise ConfigError(path or "<config>", f"expected an object, got {type(raw).__name__}")
+    schema, prefix = _SCHEMA[name], f"{path}." if path else ""
+    keys = schema if keys is None else keys
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"{prefix}{key}", "unknown field")
+    resolved = dict.fromkeys(keys)  # a default of None is set by a named check
+    for key in keys:
+        kind, default, bound = schema[key]
+        if key in raw or default is not None:
+            resolved[key] = kind(raw.get(key, default), bound, f"{prefix}{key}")
+    return resolved
+
+
+_VECTOR = (1, _float, None)  # the bound of a non-empty list of finite numbers
+_CRITERIA = tuple(range(1, len(acceptance.CRITERIA) + 1))
+
+# section -> key -> (kind, default, bound), "" holding the top-level keys.  The
+# kind is the field checker above that takes the bound.
+_SCHEMA = {
+    "": {
+        "command": (_choice, None, tuple(_KEYS)),
+        "model": (_section, {}, "model"),
+        "quadrature": (_section, {}, "quadrature"),
+        "seed": (_int, 0, 0),
+        "family": (_choice, "free", ("free", "symmetric")),
+        "init": (_section, {}, "init"),
+        "stop": (_section, {}, "stop"),
+        "n": (_int, 10_000, 1),
+        "T": (_int, 50, 1),
+        "form": (_choice, "ab", ("ab", "mu")),
+        "write_data": (_choice, False, (False, True)),
+        "trials": (_int, 20, 1),
+        "n_ladder": (_list, [1_000, 10_000, 100_000, 1_000_000], (2, _int, 1)),  # increasing
+        "slice": (_section, {}, "slice"),
+        "grid": (_section, {}, "grid"),
+        "criteria": (_list, list(_CRITERIA), (1, _choice, _CRITERIA)),
+    },
+    "model": {
+        "d": (_int, None, 1),  # default: the length of theta_star, else 2
+        "theta_star": (_list, None, _VECTOR),  # default: mu2, else (1, 0, ..., 0)
+        "mu1": (_list, None, _VECTOR),
+        "mu2": (_list, None, _VECTOR),
+        "sigma": (_list, None, (1, _list, _VECTOR)),  # d rows of length d
+    },
+    "quadrature": {
+        "nodes_per_lobe": (_int, 512, MIN_NODES_PER_LOBE),
+        "abs_tol": (_float, 1e-10, ">0"),
+    },
+    "init": {  # a, b (default 0, theta*/2) when free, theta (default theta*/2) when symmetric
+        "a": (_list, None, _VECTOR),
+        "b": (_list, None, _VECTOR),
+        "theta": (_list, None, _VECTOR),
+    },
+    "stop": {"max_iters": (_int, 10_000, 1), "step_tol": (_float, 1e-10, ">=0")},
+    "slice": {
+        "a_lo": (_float, -1.0, None),
+        "a_hi": (_float, 1.0, None),
+        "a_steps": (_int, 21, 1),
+        "b_lo": (_float, -2.0, None),
+        "b_hi": (_float, 2.0, None),
+        "b_steps": (_int, 21, 1),
+    },
+    "grid": {key: (_section, {}, "axis") for key in ("x_a", "x_b", "x_theta")},
+    "axis": {"lo": (_float, 0.0, None), "hi": (_float, 3.0, None), "count": (_int, 20, 1)},
+}
+
+
+def _check_order(section, lo, hi, path):
+    if section[hi] < section[lo]:
+        raise ConfigError(f"{path}.{hi}", f"must be >= {lo}={section[lo]!r}, got {section[hi]!r}")
+
+
+def _model(section):
+    """The model as ``{d, theta_star}``: theta* is given directly or as the
+    centred means mu1 = -mu2, and whitened by the covariance sigma if given."""
+    d, theta, sigma = section["d"], section["theta_star"], section["sigma"]
+    mu1, mu2 = section["mu1"], section["mu2"]
     if theta is not None and (mu1 is not None or mu2 is not None):
         raise ConfigError("model.theta_star", "give either theta_star or mu1/mu2, not both")
     if (mu1 is None) != (mu2 is None):
         raise ConfigError("model.mu1", "mu1 and mu2 must be given together")
     if mu1 is not None:
-        if len(mu1) != len(mu2):
-            raise ConfigError("model.mu2", f"length {len(mu2)} does not match mu1 ({len(mu1)})")
         scale = max(1.0, max(abs(v) for v in mu2))
-        if max(abs(x + y) for x, y in zip(mu1, mu2)) > 1e-12 * scale:
+        if len(mu1) != len(mu2) or max(abs(x + y) for x, y in zip(mu1, mu2)) > 1e-12 * scale:
             raise ConfigError("model.mu1", "means must be centered: mu1 = -mu2")
         theta = mu2
     if theta is None:
-        theta = [1.0, 0.0] if "d" not in section else None
-    d = _int_field(section, "d", "model", len(theta) if theta else None, minimum=1)
-    if theta is None:
-        theta = [1.0] + [0.0] * (d - 1)
+        theta = [1.0] + [0.0] * ((d or 2) - 1)
+    d = d or len(theta)
     if len(theta) != d:
         raise ConfigError("model.theta_star", f"length {len(theta)} does not match d={d}")
-    sigma = section.get("sigma")
     if sigma is not None:
-        if not isinstance(sigma, list) or len(sigma) != d:
+        if len(sigma) != d:
             raise ConfigError("model.sigma", f"expected a {d}x{d} matrix")
-        rows = [_vector_field({"row": row}, "row", f"model.sigma[{i}]", None, length=d)
-                for i, row in enumerate(sigma)]
+        for i, row in enumerate(sigma):
+            if len(row) != d:
+                raise ConfigError(f"model.sigma[{i}]", f"expected length {d}, got {len(row)}")
         try:
-            theta = list(whiten(np.array(theta), np.array(rows)))
+            theta = list(whiten(np.array(theta), np.array(sigma)))
         except NotPositiveDefinite as exc:
             raise ConfigError("model.sigma", str(exc)) from None
-    resolved = {"d": d, "theta_star": [float(v) for v in theta]}
-    return resolved, MixtureModel(d, theta)
+    return {"d": d, "theta_star": [float(v) for v in theta]}, MixtureModel(d, theta)
 
 
-def _resolve_quadrature(raw):
-    section = _expect_mapping(raw.get("quadrature", {}), "quadrature")
-    _reject_unknown(section, ("nodes_per_lobe", "abs_tol"), "quadrature")
-    nodes = _int_field(
-        section, "nodes_per_lobe", "quadrature", 512, minimum=MIN_NODES_PER_LOBE
-    )
-    abs_tol = _float_field(section, "abs_tol", "quadrature", 1e-10, positive=True)
-    resolved = {"nodes_per_lobe": nodes, "abs_tol": abs_tol}
-    return resolved, QuadratureSpec(nodes, abs_tol)
-
-
-def _resolve_init(raw, model, family):
-    section = _expect_mapping(raw.get("init", {}), "init")
-    d = model.dim
+def _start(section, model, family):
+    """The start of the family's run, each vector of the model's dimension."""
+    half = [0.5 * v for v in model.theta_star]
+    start = {"theta": half} if family == "symmetric" else {"a": [0.0] * model.dim, "b": half}
+    for key, value in section.items():
+        if value is not None:
+            if key not in start:
+                raise ConfigError(f"init.{key}", f"unknown field for the {family} family")
+            if len(value) != model.dim:
+                raise ConfigError(f"init.{key}", f"expected length {model.dim}, got {len(value)}")
+            start[key] = value
     if family == "symmetric":
-        _reject_unknown(section, ("theta",), "init")
-        theta = _vector_field(
-            section, "theta", "init", [0.5 * v for v in model.theta_star], length=d
-        )
-        return {"theta": theta}, np.array(theta)
-    _reject_unknown(section, ("a", "b"), "init")
-    a = _vector_field(section, "a", "init", [0.0] * d, length=d)
-    b = _vector_field(section, "b", "init", [0.5 * v for v in model.theta_star], length=d)
-    return {"a": a, "b": b}, ABState(a, b)
-
-
-def _resolve_stop(raw):
-    section = _expect_mapping(raw.get("stop", {}), "stop")
-    _reject_unknown(section, ("max_iters", "step_tol"), "stop")
-    max_iters = _int_field(section, "max_iters", "stop", 10_000, minimum=1)
-    step_tol = _float_field(section, "step_tol", "stop", 1e-10)
-    if step_tol < 0.0:  # 0.0 runs the whole budget
-        raise ConfigError("stop.step_tol", f"must be >= 0.0, got {step_tol!r}")
-    return {"max_iters": max_iters, "step_tol": step_tol}, StopRule(max_iters, step_tol)
-
-
-def _resolve_axis(section, key, path):
-    axis = _expect_mapping(section.get(key, {}), f"{path}.{key}")
-    _reject_unknown(axis, ("lo", "hi", "count"), f"{path}.{key}")
-    lo = _float_field(axis, "lo", f"{path}.{key}", 0.0)
-    hi = _float_field(axis, "hi", f"{path}.{key}", 3.0)
-    count = _int_field(axis, "count", f"{path}.{key}", 20, minimum=1)
-    if hi < lo:
-        raise ConfigError(f"{path}.{key}.hi", f"must be >= lo={lo!r}, got {hi!r}")
-    return {"lo": lo, "hi": hi, "count": count}
+        return start, np.array(start["theta"])
+    return start, ABState(start["a"], start["b"])
 
 
 def resolve_config(raw, command, seed_override=None):
@@ -247,87 +222,28 @@ def resolve_config(raw, command, seed_override=None):
     Returns the fully resolved config dict (JSON-serializable, deterministic
     key set) whose canonical serialization is what gets hashed.
     """
-    raw = _expect_mapping(raw, "<config>")
-    if seed_override is not None:
+    if seed_override is not None and isinstance(raw, dict):
         raw = dict(raw, seed=seed_override)
-    keys = _KEYS[command]
-    _reject_unknown(raw, keys, "")
-    declared = raw.get("command", command)
-    if declared != command:
-        raise ConfigError("command", f"config is for {declared!r}, invoked as {command!r}")
-    resolved = {"command": command}
-    model = spec = init = stop = None
-    if "model" in keys:
-        resolved["model"], model = _resolve_model(raw)
-    if "quadrature" in keys:
-        resolved["quadrature"], spec = _resolve_quadrature(raw)
-    if "seed" in keys:
-        resolved["seed"] = _int_field(raw, "seed", "", 0, minimum=0)
-    if "family" in keys:
-        resolved["family"] = _choice_field(raw, "family", "", "free", ("free", "symmetric"))
-    if "init" in keys:
-        resolved["init"], init = _resolve_init(raw, model, resolved.get("family", "free"))
-    if "stop" in keys:
-        resolved["stop"], stop = _resolve_stop(raw)
-    if "n" in keys:
-        resolved["n"] = _int_field(raw, "n", "", 10_000, minimum=1)
-    if "T" in keys:
-        resolved["T"] = _int_field(raw, "T", "", 50, minimum=1)
-    if "form" in keys:
-        resolved["form"] = _choice_field(raw, "form", "", "ab", ("ab", "mu"))
-    if "write_data" in keys:
-        write_data = raw.get("write_data", False)
-        if not isinstance(write_data, bool):
-            raise ConfigError("write_data", f"expected true/false, got {write_data!r}")
-        resolved["write_data"] = write_data
-    if "trials" in keys:
-        resolved["trials"] = _int_field(raw, "trials", "", 20, minimum=1)
-    if "n_ladder" in keys:
-        ladder = raw.get("n_ladder", list(_DEFAULT_LADDER))
-        if not isinstance(ladder, list) or len(ladder) < 2:
-            raise ConfigError("n_ladder", "expected a list of at least two sample sizes")
-        sizes = [
-            _int_field({"n": v}, "n", f"n_ladder[{i}]", None, minimum=1)
-            for i, v in enumerate(ladder)
-        ]
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ConfigError("n_ladder", f"must be strictly increasing, got {sizes}")
-        resolved["n_ladder"] = sizes
-    if "slice" in keys:
-        section = _expect_mapping(raw.get("slice", {}), "slice")
-        _reject_unknown(
-            section, ("a_lo", "a_hi", "a_steps", "b_lo", "b_hi", "b_steps"), "slice"
-        )
-        sl = {
-            "a_lo": _float_field(section, "a_lo", "slice", -1.0),
-            "a_hi": _float_field(section, "a_hi", "slice", 1.0),
-            "a_steps": _int_field(section, "a_steps", "slice", 21, minimum=1),
-            "b_lo": _float_field(section, "b_lo", "slice", -2.0),
-            "b_hi": _float_field(section, "b_hi", "slice", 2.0),
-            "b_steps": _int_field(section, "b_steps", "slice", 21, minimum=1),
-        }
-        if sl["a_hi"] < sl["a_lo"]:
-            raise ConfigError("slice.a_hi", "must be >= a_lo")
-        if sl["b_hi"] < sl["b_lo"]:
-            raise ConfigError("slice.b_hi", "must be >= b_lo")
-        resolved["slice"] = sl
-    if "grid" in keys:
-        section = _expect_mapping(raw.get("grid", {}), "grid")
-        _reject_unknown(section, ("x_a", "x_b", "x_theta"), "grid")
-        resolved["grid"] = {
-            key: _resolve_axis(section, key, "grid") for key in ("x_a", "x_b", "x_theta")
-        }
-    if "criteria" in keys:
-        count = len(acceptance.CRITERIA)
-        criteria = raw.get("criteria", list(range(1, count + 1)))
-        if not isinstance(criteria, list) or not criteria:
-            raise ConfigError("criteria", "expected a non-empty list of criterion numbers")
-        for i, num in enumerate(criteria):
-            if isinstance(num, bool) or not isinstance(num, int) or not 1 <= num <= count:
-                raise ConfigError(f"criteria[{i}]",
-                                  f"expected an integer in 1..{count}, got {num!r}")
-        resolved["criteria"] = criteria
-
+    resolved = _section(raw, "", "", _KEYS[command])
+    if resolved["command"] not in (None, command):
+        raise ConfigError("command", f"config is for {resolved['command']!r}, run as {command!r}")
+    resolved["command"] = command
+    model = init = None
+    if "model" in resolved:
+        resolved["model"], model = _model(resolved["model"])
+    if "init" in resolved:
+        resolved["init"], init = _start(resolved["init"], model, resolved.get("family", "free"))
+    spec = QuadratureSpec(**resolved["quadrature"]) if "quadrature" in resolved else None
+    stop = StopRule(**resolved["stop"]) if "stop" in resolved else None
+    if "n_ladder" in resolved:
+        ladder = resolved["n_ladder"]
+        if any(b <= a for a, b in zip(ladder, ladder[1:])):
+            raise ConfigError("n_ladder", f"must be strictly increasing, got {ladder}")
+    if "slice" in resolved:
+        _check_order(resolved["slice"], "a_lo", "a_hi", "slice")
+        _check_order(resolved["slice"], "b_lo", "b_hi", "slice")
+    for key, axis in resolved.get("grid", {}).items():
+        _check_order(axis, "lo", "hi", f"grid.{key}")
     return resolved, model, spec, init, stop
 
 
@@ -367,7 +283,6 @@ class _Sink:
         lines.extend(",".join(_cell(v) for v in row) for row in rows)
         path.write_text("\n".join(lines) + "\n")
         self.written.append(path)
-        return path
 
     def json(self, name, payload):
         path = self.dir / name
@@ -379,7 +294,6 @@ class _Sink:
         document.update(payload)
         path.write_text(json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n")
         self.written.append(path)
-        return path
 
 
 # ---------------------------------------------------------------- commands

@@ -146,6 +146,51 @@ class TestConfigErrors:
         payload = {"n_ladder": [1000, 100]}
         assert self.field(payload, command="consistency") == "n_ladder"
 
+    @pytest.mark.parametrize("command, payload, path", [
+        ("landscape", {"model": {"sigma": [[1.0, 0.0], [1.0]]}}, "model.sigma[1]"),
+        ("landscape", {"model": {"sigma": [[1.0, "x"], [0.0, 1.0]]}}, "model.sigma[0][1]"),
+        ("consistency", {"n_ladder": [None, 100]}, "n_ladder[0]"),
+    ])
+    def test_list_items_name_their_index(self, command, payload, path):
+        assert self.field(payload, command=command) == path
+
+    @pytest.mark.parametrize("command, payload, path", [
+        ("run-population", {"model": {"d": "2"}}, "model.d"),
+        ("run-population", {"model": {"theta_star": 1.0}}, "model.theta_star"),
+        ("run-population", {"model": {"mu1": [-1.0, "0"], "mu2": [1.0, 0.0]}}, "model.mu1[1]"),
+        ("run-population", {"model": {"mu1": [-1.0, 0.0], "mu2": "x"}}, "model.mu2"),
+        ("run-population", {"model": {"sigma": {}}}, "model.sigma"),
+        ("run-population", {"quadrature": {"nodes_per_lobe": 512.0}}, "quadrature.nodes_per_lobe"),
+        ("run-population", {"quadrature": {"abs_tol": "1e-10"}}, "quadrature.abs_tol"),
+        ("run-population", {"family": 1}, "family"),
+        ("run-population", {"init": {"a": [0.0, None]}}, "init.a[1]"),
+        ("run-population", {"init": {"b": {}}}, "init.b"),
+        ("run-population", {"family": "symmetric", "init": {"theta": True}}, "init.theta"),
+        ("run-population", {"stop": {"max_iters": 1.5}}, "stop.max_iters"),
+        ("run-population", {"stop": {"step_tol": [0.0]}}, "stop.step_tol"),
+        ("run-sample", {"seed": "0"}, "seed"),
+        ("run-sample", {"n": 100.0}, "n"),
+        ("run-sample", {"form": None}, "form"),
+        ("run-sample", {"write_data": 1}, "write_data"),
+        ("coupled", {"T": "50"}, "T"),
+        ("consistency", {"trials": None}, "trials"),
+        ("consistency", {"n_ladder": 1000}, "n_ladder"),
+        ("landscape", {"slice": {"a_lo": "0"}}, "slice.a_lo"),
+        ("landscape", {"slice": {"a_hi": None}}, "slice.a_hi"),
+        ("landscape", {"slice": {"a_steps": 2.0}}, "slice.a_steps"),
+        ("landscape", {"slice": {"b_lo": False}}, "slice.b_lo"),
+        ("landscape", {"slice": {"b_hi": []}}, "slice.b_hi"),
+        ("landscape", {"slice": {"b_steps": "21"}}, "slice.b_steps"),
+        ("kernels", {"grid": {"x_a": {"lo": "0"}}}, "grid.x_a.lo"),
+        ("kernels", {"grid": {"x_b": {"hi": None}}}, "grid.x_b.hi"),
+        ("kernels", {"grid": {"x_theta": {"count": 2.0}}}, "grid.x_theta.count"),
+        ("kernels", {"grid": {"x_theta": []}}, "grid.x_theta"),
+        ("verify", {"criteria": [1.0]}, "criteria[0]"),
+        ("verify", {"command": 7}, "command"),
+    ])
+    def test_wrong_type_names_its_field(self, command, payload, path):
+        assert self.field(payload, command=command) == path
+
 
 # which of seed, model and quadrature each command reads; the rest are errors
 _READS = {
@@ -487,6 +532,12 @@ class TestMainErrors:
         cfg = _write_config(tmp_path, {"grid": {"x_a": {"count": 0}}})
         assert main(["kernels", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "grid.x_a.count" in capsys.readouterr().err
+
+    def test_null_init_vector_exits_2(self, tmp_path, capsys):
+        """Only an absent key takes its default; a present null is a config error."""
+        cfg = _write_config(tmp_path, {"init": {"a": None}})
+        assert main(["run-population", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: init.a" in capsys.readouterr().err
 
     def test_too_few_quadrature_nodes_exits_2(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"quadrature": {"nodes_per_lobe": 12}})
