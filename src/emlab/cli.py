@@ -35,7 +35,7 @@ from .geometry import ABState, MeanPair, MixtureModel, whiten
 from .harness import _discrepancies, consistency_ladder, coupled_run
 from .kernels import tabulate
 from .landscape import expected_loglik
-from .population import RATIO_FIELDS, StopRule, _sign_target, run, run_model1
+from .population import StopRule, _sign_target, run, run_model1
 from .quadrature import MIN_NODES_PER_LOBE, QuadratureSpec
 from .sampling import run_sample, sample_mixture
 
@@ -255,10 +255,6 @@ def config_hash(resolved) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _cell(value) -> str:
-    return "" if value is None else str(value)  # str of a float is its repr
-
-
 class _Sink:
     """Writes artifacts into one directory, stamping provenance on each."""
 
@@ -280,7 +276,7 @@ class _Sink:
         path = self.dir / name
         lines = self._preamble()
         lines.append(",".join(header))
-        lines.extend(",".join(_cell(v) for v in row) for row in rows)
+        lines.extend(",".join(map(str, row)) for row in rows)  # str of a float is its repr
         path.write_text("\n".join(lines) + "\n")
         self.written.append(path)
 
@@ -313,12 +309,9 @@ def _free_rows(traj):
         if values.ndim == 2:
             header += [f"{name}_{i}" for i in range(values.shape[1])]
             columns += values.T.tolist()
-            continue
-        column = values.tolist()
-        if name in RATIO_FIELDS:  # a missing ratio is nan in the table, an empty cell here
-            column = [None if math.isnan(v) else v for v in column]
-        header.append(name)
-        columns.append(column)
+        else:
+            header.append(name)
+            columns.append(values.tolist())
     return header, zip(*columns)
 
 

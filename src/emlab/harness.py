@@ -151,30 +151,43 @@ def rate_fit(result: ConsistencyResult) -> float:
     return float(slope)
 
 
-def contraction_estimate(traj: Trajectory) -> ContractionEstimate:
-    """Fit per-step contraction factors from a trajectory's recorded ratios.
+def _ratios(values: np.ndarray) -> np.ndarray:
+    """values[t] / values[t-1] per row; nan at t = 0 and unless the previous
+    value is finite and positive and the current one finite."""
+    prev, curr = values[:-1], values[1:]
+    valid = (prev > 0.0) & (prev < np.inf) & np.isfinite(curr)
+    ratio = np.full_like(values, np.nan)
+    np.divide(curr, prev, out=ratio[1:], where=valid)
+    return ratio
 
-    T0 is the last row index >= 1 whose b-error ratio is missing (nan) or
-    >= 1 (0 when contraction holds from the start); the kappas are the
-    largest ratios present over the post-T0 tail (nan when none is).
+
+def contraction_estimate(traj: Trajectory) -> ContractionEstimate:
+    """Fit per-step contraction factors from a trajectory's records.
+
+    The ratios are taken row by row on the records handed in: ``norm_a``,
+    ``dist_b`` and ``sin_beta`` over the previous row's value, missing (nan)
+    at row 0 and unless the previous value is finite and positive and the
+    current one finite.  T0 is the last row index >= 1 whose b-error ratio
+    is missing or >= 1 (0 when contraction holds from the start); the kappas
+    are the largest ratios present over the post-T0 tail (nan when none is).
     `valid` requires a finite tail estimate kappa_b < 1 with no tail ratio
     of any kind reaching 1.
     """
     if len(traj) < 5:
         raise InsufficientData(f"need >= 5 records to estimate contraction, got {len(traj)}")
-    records = traj.records
+    ratio_a, ratio_b, ratio_sin = (
+        _ratios(traj.records[field]) for field in ("norm_a", "dist_b", "sin_beta")
+    )
     # a missing (nan) ratio fails the comparison and so counts as bad
-    bad = np.flatnonzero(~(records["ratio_b"][1:] < 1.0))
+    bad = np.flatnonzero(~(ratio_b[1:] < 1.0))
     T0 = int(bad[-1]) + 1 if bad.size else 0
-    tail = records[T0 + 1:]
 
-    def tail_max(field: str) -> float:
-        vals = tail[field][~np.isnan(tail[field])]
-        return float(vals.max()) if vals.size else float("nan")
+    def tail_max(ratios: np.ndarray) -> float:
+        tail = ratios[T0 + 1:]
+        tail = tail[~np.isnan(tail)]
+        return float(tail.max()) if tail.size else float("nan")
 
-    kappa_a = tail_max("ratio_a")
-    kappa_b = tail_max("ratio_b")
-    kappa_sin = tail_max("ratio_sin")
+    kappa_a, kappa_b, kappa_sin = tail_max(ratio_a), tail_max(ratio_b), tail_max(ratio_sin)
     valid = (
         math.isfinite(kappa_b)
         and kappa_b < 1.0

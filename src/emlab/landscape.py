@@ -65,8 +65,9 @@ class StationaryReport:
 
 
 def _log_cosh(z: np.ndarray) -> np.ndarray:
-    # logaddexp keeps the tail linear instead of overflowing cosh.
-    return np.logaddexp(z, -z) - math.log(2.0)
+    # |z| + log1p(exp(-2|z|)) keeps the tail linear instead of overflowing cosh.
+    abs_z = np.abs(z)
+    return abs_z + np.log1p(np.exp(-2.0 * abs_z)) - math.log(2.0)
 
 
 def expected_loglik(

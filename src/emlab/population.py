@@ -15,14 +15,16 @@ theta1 = <theta_star, e> and one call of the kernel core
 
 and moves the state by the distance of the two plane states (the off-plane
 part of a_0 counts in the first).  ``run`` lifts elementwise, with row 0 the
-init itself, then fills the diagnostics table (``Trajectory``) column by
-column; ``model2_step`` is the same reduce, step and lift for one step, so
-it returns row 1 of a one-step run and row 0's p bit for bit.  Model 1 is
-the a = 0 slice, where p = 1/2 and a+ = 0 are set exactly: ``run_model1``
-is ``run`` from (0, theta) and ``model1_step`` is ``model2_step`` from
-there, bit for bit.  A step whose p leaves (1e-15, 1 - 1e-15) raises
-DegenerateWeights.  ``run`` and ``run_sample`` share one stop rule and one
-iteration driver; a sample run reduces nothing.
+init itself, then fills the diagnostics table (``Trajectory``: p, the angle
+beta and sin beta, norm_a and dist_b) column by column; per-step ratios of
+these are left to ``harness.contraction_estimate``.  ``model2_step`` is the
+same reduce, step and lift for one step, so it returns row 1 of a one-step
+run and row 0's p bit for bit.  Model 1 is the a = 0 slice, where p = 1/2
+and a+ = 0 are set exactly: ``run_model1`` is ``run`` from (0, theta) and
+``model1_step`` is ``model2_step`` from there, bit for bit.  A step whose p
+leaves (1e-15, 1 - 1e-15) raises DegenerateWeights.  ``run`` and
+``run_sample`` share one stop rule and one iteration driver; a sample run
+reduces nothing.
 
 Exactness guarantees (no thresholding involved):
   * <a, b> == 0.0 implies p = 0.5 and a+ = 0 exactly;
@@ -75,12 +77,9 @@ class StopRule:
         return moved < self.step_tol
 
 
-RATIO_FIELDS = ("ratio_a", "ratio_b", "ratio_sin")
-
-
 def record_dtype(dim: int) -> np.dtype:
     """The row type of ``Trajectory.records`` for dimension ``dim``."""
-    scalars = ("p", "beta", "sin_beta", "norm_a", "dist_b") + RATIO_FIELDS
+    scalars = ("p", "beta", "sin_beta", "norm_a", "dist_b")
     return np.dtype([("t", np.int64), ("a", float, (dim,)), ("b", float, (dim,))]
                     + [(name, float) for name in scalars])
 
@@ -94,10 +93,9 @@ class Trajectory:
     the state ``a``, ``b`` (length d); ``p``, the posterior mass at the
     iterate (the scalar that produces iterate t+1); the angle ``beta`` of b
     to theta_star and ``sin_beta`` (nan when undefined); ``norm_a``; and
-    ``dist_b``, the distance of b to the sign-resolved ``target``.  The
-    ratios of ``norm_a``, ``dist_b`` and ``sin_beta`` to the previous row's
-    value are ``ratio_a``, ``ratio_b`` and ``ratio_sin``: nan at t = 0 and
-    unless the previous value is finite and positive and the current finite.
+    ``dist_b``, the distance of b to the sign-resolved ``target``.
+    ``harness.contraction_estimate`` takes the per-step ratios of
+    ``norm_a``, ``dist_b`` and ``sin_beta`` from these columns.
     """
 
     records: np.ndarray
@@ -179,16 +177,6 @@ def _betas(b_rows: np.ndarray, model: MixtureModel) -> np.ndarray:
     return np.where(defined & (model.norm_theta > 0.0), beta, np.nan)
 
 
-def _ratios(values: np.ndarray) -> np.ndarray:
-    """values[t] / values[t-1] per row; nan at t = 0 and unless the previous
-    value is finite and positive and the current one finite."""
-    prev, curr = values[:-1], values[1:]
-    valid = (prev > 0.0) & (prev < np.inf) & np.isfinite(curr)
-    ratio = np.full_like(values, np.nan)
-    np.divide(curr, prev, out=ratio[1:], where=valid)
-    return ratio
-
-
 def _trajectory(
     a_rows, b_rows, ps: list[float], converged: bool, model: MixtureModel
 ) -> Trajectory:
@@ -205,8 +193,6 @@ def _trajectory(
     table["sin_beta"] = np.sin(table["beta"])
     table["norm_a"] = np.linalg.norm(table["a"], axis=1)
     table["dist_b"] = np.linalg.norm(table["b"] - target, axis=1)
-    for ratio, field in zip(RATIO_FIELDS, ("norm_a", "dist_b", "sin_beta")):
-        table[ratio] = _ratios(table[field])
     table.flags.writeable = False
     return Trajectory(table, ABState(a_rows[-1], b_rows[-1]), converged, target)
 

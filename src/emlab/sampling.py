@@ -266,7 +266,7 @@ def sample_loglik(state: ABState, data: Dataset) -> float:
     """Mean per-sample log-likelihood of the two-component model at `state`.
 
     log density = -d/2 log(2 pi) - (|y-a|^2 + |b|^2)/2 + log cosh(<y-a, b>),
-    with log cosh evaluated as logaddexp(z, -z) - log 2 to stay finite.
+    with log cosh evaluated as |z| + log1p(exp(-2|z|)) - log 2 to stay finite.
     """
     if state.dim != data.dim:
         raise DimensionMismatch(

@@ -290,6 +290,16 @@ class TestSchema:
         assert runs[0][0] == 0
         assert runs[0] != runs[1]
 
+    @pytest.mark.parametrize("command", list(_SMALL))
+    def test_csv_artifacts_have_no_empty_cell(self, tmp_path, command):
+        out = tmp_path / "out"
+        assert main([command, "--config", _write_config(tmp_path, _SMALL[command]),
+                     "--out", str(out)]) == 0
+        for path in out.glob("*.csv"):
+            rows = [ln.split(",") for ln in path.read_text().splitlines() if ln[:1] != "#"]
+            assert len(rows) > 1
+            assert all(cell for row in rows for cell in row), path.name
+
 
 class TestMainKernels:
     config = {
@@ -406,8 +416,7 @@ class TestMainRunners:
 
     def test_free_run_cell_format(self, tmp_path):
         """From b = 0 (absorbing, no angle) a free run has 2 rows: the angle
-        cells read nan, a missing ratio is an empty cell, and the summary's
-        last record index is a JSON int."""
+        cells read nan, and the summary's last record index is a JSON int."""
         cfg = _write_config(tmp_path, {
             "model": {"d": 2, "theta_star": [1.0, 0.3]},
             "init": {"a": [0.4, 0.1], "b": [0.0, 0.0]},
@@ -415,16 +424,12 @@ class TestMainRunners:
         out = tmp_path / "out"
         assert main(["run-population", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "trajectory.csv").read_text().splitlines()[3:]
-        assert lines[0] == (
-            "t,a_0,a_1,b_0,b_1,p,beta,sin_beta,norm_a,dist_b,ratio_a,ratio_b,ratio_sin"
-        )
+        assert lines[0] == "t,a_0,a_1,b_0,b_1,p,beta,sin_beta,norm_a,dist_b"
         rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
         assert len(rows) == 2
         assert all(row["beta"] == row["sin_beta"] == "nan" for row in rows)
-        assert [rows[0][k] for k in ("ratio_a", "ratio_b", "ratio_sin")] == ["", "", ""]
         assert rows[0]["t"] == "0" and rows[0]["a_0"] == "0.4" and rows[0]["p"] == "0.5"
-        # |a| falls to 0 (ratio 0.0); dist_b stays 0, so its ratio is missing
-        assert lines[2] == "1,0.0,0.0,0.0,0.0,0.5,nan,nan,0.0,0.0,0.0,,"
+        assert lines[2] == "1,0.0,0.0,0.0,0.0,0.5,nan,nan,0.0,0.0"
         summary = json.loads((out / "summary.json").read_text())
         assert summary["steps"] == 2 and summary["converged"] is True
         last = summary["last_record"]
@@ -445,6 +450,8 @@ class TestMainRunners:
         )
         out = tmp_path / "out"
         assert main(["run-sample", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines[3] == "t,a_0,a_1,b_0,b_1,p,beta,sin_beta,norm_a,dist_b"
         data = np.loadtxt(out / "data.csv", delimiter=",", skiprows=5)
         assert data.shape == (50, 2)
         summary = json.loads((out / "summary.json").read_text())

@@ -27,7 +27,7 @@ from emlab import (
     sample_mixture,
 )
 from emlab.geometry import state_distance
-from emlab.population import RATIO_FIELDS, record_dtype
+from emlab.population import record_dtype
 
 NAN = math.nan
 MODEL = MixtureModel(2, [1.0, 0.0])
@@ -45,25 +45,59 @@ def _result(n_ladder, final_error):
     )
 
 
-def _toy_trajectory(ratio_bs, ratio_a=0.5, ratio_sin=0.5):
-    """A hand-built records table with prescribed per-step ratios; row 0
-    has none, as in a real run, and nan marks a missing ratio."""
-    n = len(ratio_bs)
+def _products(ratios):
+    """1.0 followed by the running products of ``ratios``: a series whose
+    per-step ratios are ``ratios``."""
+    return np.cumprod([1.0, *ratios])
+
+
+def _toy_trajectory(dist_b, norm_a=None, sin_beta=None):
+    """A hand-built records table with the given diagnostic series; the
+    a-norm and sine series halve at every step unless given."""
+    n = len(dist_b)
+    halving = 0.5 ** np.arange(n)
     records = np.zeros(n, dtype=record_dtype(1))
     records["t"] = np.arange(n)
     records["b"] = 1.0
     records["p"] = 0.5
     records["beta"] = 0.1
-    records["norm_a"] = records["dist_b"] = 0.5 ** np.arange(n)
-    records["ratio_a"], records["ratio_b"], records["ratio_sin"] = ratio_a, ratio_bs, ratio_sin
-    for field in RATIO_FIELDS:
-        records[field][0] = math.nan
+    records["dist_b"] = dist_b
+    records["norm_a"] = halving if norm_a is None else norm_a
+    records["sin_beta"] = halving if sin_beta is None else sin_beta
     return Trajectory(
         records=records,
         final_state=ABState([0.0], [1.0]),
         converged=True,
         target=np.array([1.0]),
     )
+
+
+def _per_record_ratio(curr, prev):
+    """The ratio rule stated record by record: nan unless both values are
+    finite and the previous one is positive."""
+    if not (math.isfinite(prev) and prev > 0.0 and math.isfinite(curr)):
+        return math.nan
+    return curr / prev
+
+
+def _rule_estimate(records):
+    """T0 and the kappas of ``contraction_estimate`` from the per-record
+    rule, as (kappa_a, kappa_b, kappa_sin, T0)."""
+    ratios = {}
+    for field in ("norm_a", "dist_b", "sin_beta"):
+        values = records[field].tolist()
+        ratios[field] = [math.nan] + [_per_record_ratio(c, p) for p, c in zip(values, values[1:])]
+    T0 = max([t for t, r in enumerate(ratios["dist_b"]) if t >= 1 and not r < 1.0], default=0)
+    kappas = []
+    for field in ("norm_a", "dist_b", "sin_beta"):
+        tail = [r for r in ratios[field][T0 + 1:] if not math.isnan(r)]
+        kappas.append(max(tail, default=math.nan))
+    return (*kappas, T0)
+
+
+def _same(x, y):
+    """Equal as floats, nan equal to nan."""
+    return x == y or (math.isnan(x) and math.isnan(y))
 
 
 class TestRateFit:
@@ -89,7 +123,7 @@ class TestRateFit:
 
 class TestContractionEstimate:
     def test_clean_contraction(self):
-        est = contraction_estimate(_toy_trajectory([NAN, 0.5, 0.5, 0.5, 0.5, 0.5]))
+        est = contraction_estimate(_toy_trajectory(_products([0.5] * 5)))
         assert est.valid
         assert est.T0 == 0
         assert est.kappa_b == 0.5
@@ -98,14 +132,15 @@ class TestContractionEstimate:
 
     def test_burn_in_spike_moves_T0(self):
         """One ratio >= 1 at t=2 pushes the fitting window past it."""
-        est = contraction_estimate(_toy_trajectory([NAN, 0.5, 1.2, 0.5, 0.4, 0.5]))
+        est = contraction_estimate(_toy_trajectory(_products([0.5, 1.2, 0.5, 0.4, 0.5])))
         assert est.T0 == 2
         assert est.valid
         assert est.kappa_b == 0.5
 
     def test_missing_ratio_moves_T0(self):
-        """A missing b-error ratio mid-run (nan at t = 3) counts as bad."""
-        est = contraction_estimate(_toy_trajectory([NAN, 0.5, 0.5, NAN, 0.4, 0.5]))
+        """A missing b-error ratio mid-run counts as bad: the b-error is
+        exactly 0 at t = 2, so the ratio at t = 3 is nan."""
+        est = contraction_estimate(_toy_trajectory([1.0, 0.5, 0.0, 0.5, 0.2, 0.1]))
         assert est.T0 == 3
         assert est.valid
         assert est.kappa_b == 0.5
@@ -114,35 +149,79 @@ class TestContractionEstimate:
     def test_all_missing_sine_ratios_leave_kappa_sin_nan(self):
         """A tail without any sine ratio (beta undefined) gives kappa_sin
         nan, and the estimate stays valid on its b-error ratios."""
-        est = contraction_estimate(
-            _toy_trajectory([NAN, 0.5, 0.5, 0.5, 0.5, 0.5], ratio_sin=NAN)
-        )
+        est = contraction_estimate(_toy_trajectory(_products([0.5] * 5), sin_beta=[NAN] * 6))
         assert est.valid
         assert est.T0 == 0
         assert math.isnan(est.kappa_sin)
         assert est.kappa_b == 0.5
 
     def test_divergent_tail_is_invalid(self):
-        est = contraction_estimate(_toy_trajectory([NAN, 1.1, 1.2, 1.1, 1.3, 1.5]))
+        est = contraction_estimate(_toy_trajectory(_products([1.1, 1.2, 1.1, 1.3, 1.5])))
         assert not est.valid
         assert math.isnan(est.kappa_b)
 
     def test_noncontracting_midpoint_invalidates(self):
         est = contraction_estimate(
-            _toy_trajectory([NAN, 0.5, 0.5, 0.5, 0.5, 0.5], ratio_a=1.5)
+            _toy_trajectory(_products([0.5] * 5), norm_a=_products([1.5] * 5))
         )
         assert not est.valid
         assert est.kappa_a == 1.5
 
     def test_needs_five_records(self):
         with pytest.raises(InsufficientData):
-            contraction_estimate(_toy_trajectory([NAN, 0.5, 0.5]))
+            contraction_estimate(_toy_trajectory(_products([0.5, 0.5])))
 
     def test_on_a_real_run(self):
         traj = run(INIT, MODEL, StopRule(max_iters=500, step_tol=1e-8))
         est = contraction_estimate(traj)
         assert est.valid
         assert 0.0 < est.kappa_b < 1.0
+
+    @staticmethod
+    def _check_rule(traj):
+        est = contraction_estimate(traj)
+        expected = _rule_estimate(traj.records)
+        assert all(_same(x, y) for x, y in zip(est[:3], expected[:3])), (est, expected)
+        assert est.T0 == expected[3]
+        return est
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_kappas_are_tail_maxima_of_the_per_record_rule(self, d):
+        """On the population run and both sample forms of a random start,
+        T0 and the kappas are those of the ratio rule stated record by
+        record, bit for bit."""
+        # |theta*| = 1.5 and |b_0| = 1 keep x_b inside the range where the
+        # default 512/1024-node rule passes its self-check; larger x_b fails it
+        rng = np.random.default_rng(100 + d)
+        direction = rng.normal(size=(2, d))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        model = MixtureModel(d, 1.5 * direction[0])
+        init = ABState(0.3 * rng.normal(size=d), direction[1])
+        self._check_rule(run(init, model, StopRule(25, 1e-12)))
+        data = sample_mixture(model, 400, seed=d)
+        for form in ("ab", "mu"):
+            self._check_rule(run_sample(init, data, StopRule(25, 1e-12), form))
+
+    def test_zero_theta_star_has_no_sine_ratio(self):
+        """With theta* = 0 no row has an angle, so every sine ratio is
+        missing and kappa_sin is nan while b still contracts to 0."""
+        traj = run(ABState([0.1, 0.0], [0.4, 0.3]), MixtureModel(2, [0.0, 0.0]),
+                   StopRule(10, 0.0))
+        est = self._check_rule(traj)
+        assert est.T0 == 0 and est.valid
+        assert math.isnan(est.kappa_sin)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_separation_has_no_ratio(self):
+        """From b = 0 (absorbing) the b-error stays 0 and no row has an
+        angle, so every b-error and sine ratio is missing: T0 is the last
+        row, no tail is left, and no warning is raised on the way."""
+        traj = run(ABState([0.4, 0.1], [0.0, 0.0]), MODEL, StopRule(6, 0.0))
+        assert np.all(traj.records["dist_b"] == 0.0)
+        assert np.all(np.isnan(traj.records["sin_beta"]))
+        est = self._check_rule(traj)
+        assert est.T0 == 6 and not est.valid
+        assert all(math.isnan(k) for k in (est.kappa_a, est.kappa_b, est.kappa_sin))
 
 
 class TestCoupledRun:

@@ -112,7 +112,6 @@ class TestRun:
         assert traj.converged
         assert len(traj.records) == 1
         assert traj.records["t"][0] == 0
-        assert math.isnan(traj.records["ratio_a"][0])
         assert np.linalg.norm(traj.final_state.b - MODEL.theta_star) <= 1e-10
 
     def test_budget_exhaustion_appends_final_record(self):
@@ -190,18 +189,11 @@ class TestRun:
     def test_series_and_rows(self):
         traj = run(ABState([0.1, 0.0], [0.4, 0.1]), MODEL, StopRule(3, 1e-300))
         assert traj.records["norm_a"].shape == (4,)
-        assert math.isnan(traj.records["ratio_a"][0])  # no ratio at t = 0
-        assert not math.isnan(traj.records["ratio_a"][1])
+        assert traj.records.dtype.names == (
+            "t", "a", "b", "p", "beta", "sin_beta", "norm_a", "dist_b"
+        )
         with pytest.raises(ValueError, match="read-only"):
             traj.records["norm_a"][1] = 0.0
-
-
-def _per_record_ratio(curr, prev):
-    """The ratio rule stated record by record: nan unless both values are
-    finite and the previous one is positive."""
-    if not (math.isfinite(prev) and prev > 0.0 and math.isfinite(curr)):
-        return math.nan
-    return curr / prev
 
 
 class TestDiagnostics:
@@ -222,12 +214,6 @@ class TestDiagnostics:
         np.testing.assert_allclose(
             r["sin_beta"], [math.sin(v) for v in r["beta"].tolist()], rtol=1e-15, atol=0.0
         )
-        pairs = (("ratio_a", "norm_a"), ("ratio_b", "dist_b"), ("ratio_sin", "sin_beta"))
-        for ratio, field in pairs:
-            values = r[field].tolist()
-            expected = [math.nan] + [_per_record_ratio(c, p) for p, c in zip(values, values[1:])]
-            # nan (a missing ratio) must sit exactly where the rule puts it
-            np.testing.assert_allclose(r[ratio], expected, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_records_match_their_states(self, d):
@@ -246,7 +232,7 @@ class TestDiagnostics:
     def test_zero_theta_star_has_no_angle(self):
         model = MixtureModel(2, [0.0, 0.0])
         traj = run(ABState([0.1, 0.0], [0.4, 0.3]), model, StopRule(10, 0.0))
-        for column in ("beta", "sin_beta", "ratio_sin"):
+        for column in ("beta", "sin_beta"):
             assert np.all(np.isnan(traj.records[column]))
 
     @pytest.mark.filterwarnings("error")
@@ -254,7 +240,7 @@ class TestDiagnostics:
         traj = run(ABState([0.4, 0.1], [0.0, 0.0]), MODEL)
         assert traj.converged and len(traj.records) == 2
         assert np.all(np.isnan(traj.records["beta"]))
-        assert np.all(np.isnan(traj.records["ratio_sin"]))
+        assert np.all(np.isnan(traj.records["sin_beta"]))
 
     @pytest.mark.parametrize("stop", [StopRule(200, 1e-10), StopRule(6, 0.0)])
     def test_a_run_reduces_its_start_once(self, monkeypatch, stop):
