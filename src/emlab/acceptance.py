@@ -8,8 +8,10 @@ CriterionResult.  The `verify` CLI subcommand and the acceptance test module
 both go through ``run_one``, so a terminal table and the test run can never
 disagree.
 
-Shared heavy artifacts (the fifty free-means trajectories behind criteria
-5-7) are computed once per process and cached.
+Criterion 1 runs every kernel over its flattened grid in chunks of points
+(``kernels._chunked``), bitwise equal to one-point calls.  Shared heavy
+artifacts (the fifty free-means trajectories behind criteria 5-7) are
+computed once per process and cached.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .geometry import ABState, MeanPair, MixtureModel, from_ab, state_distance, 
 from .harness import concentration_check, consistency_ladder, contraction_estimate
 from .kernels import (
     SQRT_2_OVER_PI,
+    _chunked,
     eval_aux_bounds,
     kernel_f,
     kernel_k,
@@ -43,10 +46,12 @@ from .population import (
     run,
     run_model1,
 )
-from .quadrature import std_normal_cdf
+from .quadrature import DEFAULT_SPEC, std_normal_cdf
 from .sampling import model2_step_ab, model2_step_mu, sample_mixture
 
-_GRID = tuple(np.linspace(0.0, 3.0, 20))
+_GRID = np.linspace(0.0, 3.0, 20)
+# criterion 1's inequalities, in the order its notes list them at a point
+_INEQUALITIES = ("P>S>=0", "Gamma/(2P) bound", "P lower bound", "P >= 1/4")
 _A_MARGIN = 0.5 + 1.0 / math.pi + 0.05
 
 
@@ -65,54 +70,44 @@ def _max_gap(x: ABState, y: ABState) -> float:
 
 
 def criterion_1() -> tuple[bool, str]:
-    """Kernel identities and inequalities on the 20^3 grid of [0,3]^3."""
+    """Kernel identities and inequalities on the 20^3 grid of [0,3]^3, each
+    kernel run over the flattened grid in chunks of points."""
     tol = 1e-9
-    worst = {"half_f": 0.0, "srr": 0.0, "kdiff": 0.0}
-    ineq_ok = True
-    notes = []
-    for xa in _GRID:
-        for xb in _GRID:
-            for xt in _GRID:
-                p, g, s = kernel_pgs(xa, xb, xt)
-                if xa == 0.0:
-                    worst["half_f"] = max(worst["half_f"], abs(g - 0.5 * kernel_f(xb, xt)))
-                worst["srr"] = max(
-                    worst["srr"],
-                    abs(g - (xt * s + kernel_r(xb, xa - xt) + kernel_r(xb, xa + xt))),
-                )
-                worst["kdiff"] = max(
-                    worst["kdiff"],
-                    abs((1.0 - 2.0 * p) - (kernel_k(xt + xa, xb) - kernel_k(xt - xa, xb))),
-                )
-                if xb > 0.0 and not (p > s > -tol):
-                    ineq_ok = False
-                    notes.append(f"P>S>=0 fails at {(xa, xb, xt)}")
-                if xa >= xt:
-                    if g > 2.0 * p * (xa + SQRT_2_OVER_PI) / 2.0 + tol:
-                        ineq_ok = False
-                        notes.append(f"Gamma/(2P) bound fails at {(xa, xb, xt)}")
-                    lower = 0.5 * (1.0 - std_normal_cdf(xa - xt)) + 0.5 * (
-                        1.0 - std_normal_cdf(xa + xt)
-                    )
-                    if p < lower - tol:
-                        ineq_ok = False
-                        notes.append(f"P lower bound fails at {(xa, xb, xt)}")
-                elif p < 0.25 - tol:
-                    ineq_ok = False
-                    notes.append(f"P >= 1/4 fails at {(xa, xb, xt)}")
+    xa, xb, xt = (v.ravel() for v in np.meshgrid(_GRID, _GRID, _GRID, indexing="ij"))
+    p, g, s = _chunked(kernel_pgs, DEFAULT_SPEC, xa, xb, xt)
+    at0 = xa == 0.0
+    r_minus, r_plus = (_chunked(kernel_r, DEFAULT_SPEC, xb, x) for x in (xa - xt, xa + xt))
+    k_plus, k_minus = (_chunked(kernel_k, DEFAULT_SPEC, x, xb) for x in (xt + xa, xt - xa))
+    residuals = (
+        g[at0] - 0.5 * _chunked(kernel_f, DEFAULT_SPEC, xb[at0], xt[at0]),
+        g - (xt * s + r_minus + r_plus),
+        (1.0 - 2.0 * p) - (k_plus - k_minus),
+    )
+    half_f, srr, kdiff = (float(np.max(np.abs(r), initial=0.0)) for r in residuals)
+    upper = xa >= xt
+    lower = 0.5 * (1.0 - std_normal_cdf(xa - xt)) + 0.5 * (1.0 - std_normal_cdf(xa + xt))
+    # failing[i, k]: inequality k fails at point i (row-major grid order)
+    failing = np.stack((
+        (xb > 0.0) & ~((p > s) & (s > -tol)),
+        upper & (g > 2.0 * p * (xa + SQRT_2_OVER_PI) / 2.0 + tol),
+        upper & (p < lower - tol),
+        ~upper & (p < 0.25 - tol),
+    ), axis=1)
+    notes = [
+        f"{_INEQUALITIES[k]} fails at {(float(xa[i]), float(xb[i]), float(xt[i]))}"
+        for i, k in np.argwhere(failing)
+    ]
     aux_ok = True
-    for x in _GRID:
-        if x <= 0.0:
-            continue
+    for x in _GRID[_GRID > 0.0]:
         bounds = eval_aux_bounds(x)
         if not (bounds.J > 0.0 and bounds.mills_gap > 0.0):
             aux_ok = False
             notes.append(f"aux positivity fails at x={x}")
-    identity_ok = all(v <= tol for v in worst.values())
-    passed = identity_ok and ineq_ok and aux_ok
+    identity_ok = all(v <= tol for v in (half_f, srr, kdiff))
+    passed = identity_ok and not failing.any() and aux_ok
     detail = (
-        f"identity residuals: half-F {worst['half_f']:.2e}, "
-        f"S/R split {worst['srr']:.2e}, K-difference {worst['kdiff']:.2e}"
+        f"identity residuals: half-F {half_f:.2e}, "
+        f"S/R split {srr:.2e}, K-difference {kdiff:.2e}"
     )
     if notes:
         detail += "; " + "; ".join(notes[:3])

@@ -35,7 +35,9 @@ from .geometry import ABState, MeanPair, MixtureModel, whiten
 from .harness import _discrepancies, consistency_ladder, coupled_run
 from .kernels import tabulate
 from .landscape import expected_loglik
-from .population import StopRule, _sign_target, run, run_model1
+from .population import StopRule, _b_iterates, run
+# not called here; kept importable because the benchmark tracer (perfbench/spans.py) wraps it
+from .population import run_model1  # noqa: F401
 from .quadrature import MIN_NODES_PER_LOBE, QuadratureSpec
 from .sampling import run_sample, sample_mixture
 
@@ -211,8 +213,8 @@ def _start(section, model, family):
             if len(value) != model.dim:
                 raise ConfigError(f"init.{key}", f"expected length {model.dim}, got {len(value)}")
             start[key] = value
-    if family == "symmetric":
-        return start, np.array(start["theta"])
+    if family == "symmetric":  # locked means: a run from (0, theta)
+        return start, ABState([0.0] * model.dim, start["theta"])
     return start, ABState(start["a"], start["b"])
 
 
@@ -316,9 +318,10 @@ def _free_rows(traj):
 
 
 def _cmd_run_population(sink, model, spec, init, stop, resolved):
+    traj = run(init, model, stop, spec)
     if resolved["family"] == "symmetric":
-        iters = run_model1(init, model, stop, spec)
-        dists = np.linalg.norm(iters - _sign_target(init, model), axis=1)
+        iters = _b_iterates(traj)
+        dists = np.linalg.norm(iters - traj.target, axis=1)
         header = ["t"] + [f"theta_{i}" for i in range(model.dim)] + ["dist"]
         rows = [
             (t,) + tuple(float(v) for v in it) + (float(dist),)
@@ -328,16 +331,13 @@ def _cmd_run_population(sink, model, spec, init, stop, resolved):
         sink.json(
             "summary.json",
             {
-                # the run stops at the first step the stop rule accepts, so
-                # that step is the last one exactly when the run converged
-                "converged": stop.converged(float(np.linalg.norm(iters[-1] - iters[-2]))),
+                "converged": traj.converged,
                 "steps": len(iters) - 1,
                 "final": [float(v) for v in iters[-1]],
                 "final_dist": float(dists[-1]),
             },
         )
     else:
-        traj = run(init, model, stop, spec)
         header, rows = _free_rows(traj)
         sink.csv("trajectory.csv", header, rows)
         sink.json("summary.json", _trajectory_summary(traj))

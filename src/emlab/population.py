@@ -266,7 +266,12 @@ def run_model1(
     theta = np.asarray(theta0, dtype=float)
     if theta.shape != (model.dim,):
         raise ValueError(f"theta0 must have shape ({model.dim},), got {theta.shape}")
-    traj = run(ABState(np.zeros(model.dim), theta), model, stop, spec)
+    return _b_iterates(run(ABState(np.zeros(model.dim), theta), model, stop, spec))
+
+
+def _b_iterates(traj: Trajectory) -> np.ndarray:
+    """Every visited b of a run, the final one included (a run that exhausts
+    its budget records its final state already)."""
     b_rows = traj.records["b"]
     return np.vstack([b_rows, traj.final_state.b]) if traj.converged else np.array(b_rows)
 

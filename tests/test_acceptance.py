@@ -6,6 +6,7 @@ prints).  These are intentionally end-to-end and slower than the unit tests;
 the whole gate takes about half a minute.
 """
 
+import numpy as np
 import pytest
 
 from emlab import acceptance
@@ -73,3 +74,38 @@ def test_run_one_rejects_numbers_outside_the_table(monkeypatch):
             acceptance.run_one(number)
     assert ran == []
     assert acceptance.run_one(len(spies)).title == ran[0] == spies[-1][0]
+
+
+def test_criterion_1_names_a_failing_point(monkeypatch):
+    """With S raised to P at one grid point, P>S>=0 fails there: the verdict
+    is False and the note names the point as plain floats."""
+    kernel_pgs = acceptance.kernel_pgs
+
+    def broken(x_a, x_b, x_theta, *spec):
+        p, g, s = kernel_pgs(x_a, x_b, x_theta, *spec)
+        hit = (x_a == 0.0) & (x_b == acceptance._GRID[1]) & (x_theta == 0.0)
+        return p, g, np.where(hit, p, s)
+
+    monkeypatch.setattr(acceptance, "kernel_pgs", broken)
+    passed, detail = acceptance.criterion_1()
+    assert passed is False
+    assert detail.endswith("; P>S>=0 fails at (0.0, 0.15789473684210525, 0.0)")
+
+
+def test_criterion_1_lists_failures_in_grid_then_check_order(monkeypatch):
+    """With Gamma = 10 and S = P everywhere, the notes come point by point in
+    row-major grid order and, at a point, in the order of the checks."""
+    kernel_pgs = acceptance.kernel_pgs
+
+    def broken(*args):
+        p, g, s = kernel_pgs(*args)
+        return p, np.full_like(g, 10.0), p
+
+    monkeypatch.setattr(acceptance, "kernel_pgs", broken)
+    passed, detail = acceptance.criterion_1()
+    assert passed is False
+    assert detail.split("; ")[1:] == [
+        "Gamma/(2P) bound fails at (0.0, 0.0, 0.0)",
+        "P>S>=0 fails at (0.0, 0.15789473684210525, 0.0)",
+        "Gamma/(2P) bound fails at (0.0, 0.15789473684210525, 0.0)",
+    ]

@@ -381,6 +381,25 @@ class TestMainRunners:
         assert summary["converged"] is False
         assert summary["steps"] == 3
 
+    def test_symmetric_summary_takes_converged_from_the_run(self, tmp_path):
+        """The run stops on the distance between plane states, below step_tol
+        at step 7.  The lifted d-vectors of that step lie exactly step_tol
+        apart, so a verdict re-derived from them would read false; the
+        summary reports the run's own."""
+        cfg = _write_config(tmp_path, {
+            "family": "symmetric",
+            "model": {"d": 3, "theta_star": [
+                -0.8019314252534474, -1.324358995628145, -0.24836162209524854]},
+            "init": {"theta": [
+                -0.2748321412070672, -0.32136553806717966, -0.09126889125108181]},
+            "stop": {"max_iters": 100, "step_tol": 9.766995391865964e-06},
+        })
+        out = tmp_path / "out"
+        assert main(["run-population", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["converged"] is True
+        assert summary["steps"] == 7
+
     def test_symmetric_run_with_zero_step_tol_takes_the_whole_budget(self, tmp_path):
         """On the orthogonal slice the norm decays like (2t)^-1/2, so a step_tol
         of 0 must run all 50 steps: 51 rows, not converged."""

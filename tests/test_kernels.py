@@ -31,11 +31,10 @@ from emlab.kernels import SQRT_2_OVER_PI, tabulate, weight_1d
 from emlab.quadrature import (
     DEFAULT_SPEC,
     _gh_rule,
-    adaptive_simpson,
-    mixture_pdf_1d,
     std_normal_cdf,
     std_normal_pdf,
 )
+from oracles import adaptive_simpson, mixture_pdf_1d
 
 coord = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 

@@ -23,14 +23,13 @@ from emlab.landscape import _log_cosh
 from emlab.quadrature import (
     DEFAULT_SPEC,
     _gh_rule,
-    adaptive_simpson,
     integrate_against_gaussian,
     integrate_against_mixture,
     integrate_against_mixture_diff,
-    mixture_pdf_1d,
     std_normal_cdf,
     std_normal_pdf,
 )
+from oracles import adaptive_simpson
 
 
 class TestSpecValidation:
@@ -118,10 +117,6 @@ class TestMixtureMoments:
     def test_second_moment(self):
         # E Y^2 = 1 + x_theta^2
         assert integrate_against_mixture(lambda y: y * y, 1.0) == pytest.approx(2.0, rel=1e-13)
-
-    def test_pdf_normalizes(self):
-        total = adaptive_simpson(lambda y: float(mixture_pdf_1d(y, 0.9)), -14.0, 14.0, tol=1e-13)
-        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMixtureDifference:
@@ -211,16 +206,3 @@ class TestTrimmedRule:
         finally:
             quadrature._gh_pair.cache_clear()
         assert np.all(np.abs(trimmed - full) <= 2e-15 * np.maximum(1.0, np.abs(full)))
-
-
-class TestAdaptiveSimpson:
-    def test_polynomial(self):
-        assert adaptive_simpson(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
-
-    def test_exponential(self):
-        val = adaptive_simpson(math.exp, 0.0, 1.0, tol=1e-13)
-        assert val == pytest.approx(math.e - 1.0, rel=1e-13)
-
-    def test_orientation(self):
-        forward = adaptive_simpson(math.sin, 0.0, math.pi, tol=1e-12)
-        assert forward == pytest.approx(2.0, rel=1e-12)
