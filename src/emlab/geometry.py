@@ -56,7 +56,7 @@ class MixtureModel:
     theta_star: np.ndarray
 
     def __init__(self, dim: int, theta_star) -> None:
-        if not isinstance(dim, int) or dim < 1:
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ValueError(f"dim must be a positive integer, got {dim!r}")
         vec = _as_vector(theta_star, "theta_star")
         if vec.size != dim:

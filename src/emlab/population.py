@@ -23,8 +23,8 @@ run and row 0's p bit for bit.  Model 1 is the a = 0 slice, where p = 1/2
 and a+ = 0 are set exactly: ``run_model1`` is ``run`` from (0, theta) and
 ``model1_step`` is ``model2_step`` from there, bit for bit.  A step whose p
 leaves (1e-15, 1 - 1e-15) raises DegenerateWeights.  ``run`` and
-``run_sample`` share one stop rule and one iteration driver; a sample run
-reduces nothing.
+``run_sample`` share one stop rule and one iteration driver, which steps
+flat float states; a sample run reduces nothing.
 
 Exactness guarantees (no thresholding involved):
   * <a, b> == 0.0 implies p = 0.5 and a+ = 0 exactly;
@@ -69,8 +69,9 @@ class StopRule:
         iters = self.max_iters
         if isinstance(iters, bool) or not isinstance(iters, int) or iters < 1:
             raise ValueError(f"max_iters must be a positive integer, got {iters!r}")
-        if not self.step_tol >= 0.0:
-            raise ValueError(f"step_tol must be >= 0, got {self.step_tol!r}")
+        tol = self.step_tol
+        if isinstance(tol, bool) or not 0.0 <= tol < math.inf:
+            raise ValueError(f"step_tol must be finite and >= 0, got {tol!r}")
 
     def converged(self, moved: float) -> bool:
         """Whether a step of size ``moved`` ends the run."""
@@ -208,23 +209,22 @@ def _sign_target(b: np.ndarray, model: MixtureModel) -> np.ndarray:
     return np.zeros(model.dim)
 
 
-def _drive(
-    init, stop: StopRule, step: Callable, distance: Callable
-) -> tuple[list, list[float], bool]:
+def _drive(init, stop: StopRule, step: Callable) -> tuple[list, list[float], bool]:
     """The EM iteration loop behind ``run`` and ``run_sample``.
 
-    ``step(state)`` returns the next state and the posterior mass p at
-    ``state``; ``distance`` measures how far a step moved.  Returns every
-    visited state (the last is the final state), the p of each state a step
-    was taken from, and whether the stop rule's step-size test ended the run;
-    a run that exhausts the budget also lists the p of its final state, from
-    one more step.
+    A state is a flat sequence of floats: the plane state of ``run``, the
+    stacked (a, b) of ``run_sample``.  ``step(state)`` returns the next state
+    and the posterior mass p at ``state``, and ``math.dist`` measures how far
+    a step moved.  Returns every visited state (the last is the final state),
+    the p of each state a step was taken from, and whether the stop rule's
+    step-size test ended the run; a run that exhausts the budget also lists
+    the p of its final state, from one more step.
     """
     states, ps = [init], []
     for _ in range(stop.max_iters):
         new_state, p = step(states[-1])
         ps.append(p)
-        moved = distance(new_state, states[-1])
+        moved = math.dist(new_state, states[-1])
         states.append(new_state)
         if stop.converged(moved):
             return states, ps, True
@@ -247,7 +247,7 @@ def run(
     is appended as a final record.
     """
     e1, u2, theta, z0 = planar_reduce(init, model)
-    zs, ps, converged = _drive(z0, stop, lambda z: _step(z, theta, spec), math.dist)
+    zs, ps, converged = _drive(z0, stop, lambda z: _step(z, theta, spec))
     z = np.array(zs)
     a_rows, b_rows = _lift(z[:, :1], z[:, 1:2], e1, u2), _lift(z[:, 3:4], z[:, 4:5], e1, u2)
     a_rows[0], b_rows[0] = init.a, init.b

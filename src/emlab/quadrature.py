@@ -140,12 +140,13 @@ def _self_checked(
     """``fine``, the 2N-node values, after checking them against ``coarse``,
     the N-node ones.  Both hold any number of values per point, stacked in
     front of the shape of the point arrays in ``points`` (name -> array); on
-    failure the message names the point with the largest gap."""
+    failure the message names the point with the largest gap, or the first
+    point whose gap is NaN: a NaN gap has not settled."""
     gap = np.abs(fine - coarse)
-    if np.fmax.reduce(gap, axis=None) > spec.abs_tol:
+    if not np.all(gap <= spec.abs_tol):
         shape = next(iter(points.values())).shape
-        gap = np.fmax.reduce(gap.reshape((-1,) + shape), axis=0)
-        worst = np.unravel_index(np.nanargmax(gap), shape)
+        gap = np.max(gap.reshape((-1,) + shape), axis=0)
+        worst = np.unravel_index(np.argmax(gap), shape)
         where = ", ".join(f"{name} {float(value[worst])!r}" for name, value in points.items())
         raise NonConvergence(
             f"{what} at {where} did not settle: "

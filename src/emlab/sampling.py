@@ -24,6 +24,13 @@ so the two Model-2 forms are the same algebra and agree to rounding.  For
 (1e-15, 1 - 1e-15) raises DegenerateWeights instead of being clamped.
 Model 1 is the a = 0 slice of the same pass: theta+ = m/n with b = theta.
 
+One sample step, _sample_step, makes the weight pass and the p_hat check at
+(a, b) and returns the mu or the ab update with p_hat; the public steps call
+it after one dimension check.  run_sample checks init and form once, then
+steps the flat vector (a || b) through the driver it shares with ``run``
+(population._drive), which measures each move with math.dist; a mu step's
+means return to (a, b) by to_ab's arithmetic, with no container built.
+
 The pass runs over row blocks of about 256 KB: each block gives its t, its
 share of s and its share of m, and the shares are added in block order, so
 no n-length t is formed and every sum has one order, fixed by n and d.  The
@@ -46,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateWeights, DimensionMismatch
-from .geometry import ABState, MeanPair, MixtureModel, from_ab, state_distance, to_ab
+from .geometry import ABState, MeanPair, MixtureModel, to_ab
 from .landscape import _log_cosh
 from .population import _P_INTERIOR, StopRule, Trajectory, _drive, _trajectory
 
@@ -202,15 +209,24 @@ def _weight_pass(X: np.ndarray, b: np.ndarray, shift: float) -> tuple[float, np.
     return s, m
 
 
-def _posterior(data: Dataset, state: ABState) -> tuple[float, np.ndarray, float]:
-    """The weight pass at t_i = tanh(<y_i, b> - <a, b>): s, m and the
-    posterior mass p_hat = (1 + s/n)/2 of the +b component; DegenerateWeights
-    when p_hat leaves (1e-15, 1 - 1e-15)."""
-    s, m = _weight_pass(data.data, state.b, state.a @ state.b)
-    p_hat = 0.5 * (1.0 + s / data.n)
+def _sample_step(a: np.ndarray, b: np.ndarray, data: Dataset, mu_form: bool) -> tuple:
+    """One Model-2 sample step from (a, b): the weight pass at
+    t_i = tanh(<y_i, b> - <a, b>), the check of p_hat = (1 + s/n)/2, then
+    the mu update (returns mu1+, mu2+, p_hat) or the ab update (returns
+    a+, b+, p_hat); DegenerateWeights when p_hat leaves (1e-15, 1 - 1e-15)."""
+    s, m = _weight_pass(data.data, b, a @ b)
+    n, c = data.n, data.colsum
+    p_hat = 0.5 * (1.0 + s / n)
     if not _P_INTERIOR < p_hat < 1.0 - _P_INTERIOR:
         raise DegenerateWeights(f"p_hat = {p_hat!r} outside (1e-15, 1 - 1e-15)")
-    return s, m, p_hat
+    if mu_form:
+        # p_hat inside (1e-15, 1 - 1e-15) keeps n -+ s above 2e-15 n, and the
+        # subtraction is exact (Sterbenz) wherever it cancels
+        return (c - m) / (n - s), (c + m) / (n + s), p_hat
+    q_hat = (c + m) / (2.0 * n)
+    denom = 2.0 * p_hat * (1.0 - p_hat)
+    shift = data.mean / (2.0 * (1.0 - p_hat))
+    return q_hat * ((1.0 - 2.0 * p_hat) / denom) + shift, q_hat / denom - shift, p_hat
 
 
 def model1_step_sample(theta_hat: np.ndarray, data: Dataset) -> np.ndarray:
@@ -224,33 +240,15 @@ def model1_step_sample(theta_hat: np.ndarray, data: Dataset) -> np.ndarray:
     return _weight_pass(data.data, theta_hat, 0.0)[1] / data.n
 
 
-def _step_mu(means: MeanPair, data: Dataset) -> tuple[MeanPair, float]:
-    s, m, p_hat = _posterior(data, to_ab(means))
-    # p_hat inside (1e-15, 1 - 1e-15) keeps n -+ s above 2e-15 n, and the
-    # subtraction is exact (Sterbenz) wherever it cancels
-    mu1 = (data.colsum - m) / (data.n - s)
-    mu2 = (data.colsum + m) / (data.n + s)
-    return MeanPair(mu1=mu1, mu2=mu2), p_hat
-
-
 def model2_step_mu(means: MeanPair, data: Dataset) -> MeanPair:
     """One sample EM step in the (mu1, mu2) parameterization."""
     if means.mu1.shape != (data.dim,):
         raise DimensionMismatch(
             f"means have dimension {means.mu1.shape[0]}, data has {data.dim}"
         )
-    return _step_mu(means, data)[0]
-
-
-def _step_ab_core(state: ABState, data: Dataset) -> tuple[ABState, float]:
-    _, m, p_hat = _posterior(data, state)
-    q_hat = (data.colsum + m) / (2.0 * data.n)
-    ybar = data.mean
-    denom = 2.0 * p_hat * (1.0 - p_hat)
-    shift = ybar / (2.0 * (1.0 - p_hat))
-    a_new = q_hat * ((1.0 - 2.0 * p_hat) / denom) + shift
-    b_new = q_hat / denom - shift
-    return ABState(a=a_new, b=b_new), p_hat
+    state = to_ab(means)
+    mu1, mu2, _ = _sample_step(state.a, state.b, data, True)
+    return MeanPair(mu1, mu2)
 
 
 def model2_step_ab(state: ABState, data: Dataset) -> ABState:
@@ -259,7 +257,8 @@ def model2_step_ab(state: ABState, data: Dataset) -> ABState:
         raise DimensionMismatch(
             f"state has dimension {state.dim}, data has {data.dim}"
         )
-    return _step_ab_core(state, data)[0]
+    a, b, _ = _sample_step(state.a, state.b, data, False)
+    return ABState(a, b)
 
 
 def sample_loglik(state: ABState, data: Dataset) -> float:
@@ -278,14 +277,6 @@ def sample_loglik(state: ABState, data: Dataset) -> float:
     return float(np.mean(-0.5 * data.dim * np.log(2.0 * np.pi) - quad + _log_cosh(z)))
 
 
-def _step_mu_as_ab(state: ABState, data: Dataset) -> tuple[ABState, float]:
-    means, p_hat = _step_mu(from_ab(state), data)
-    return to_ab(means), p_hat
-
-
-_FORMS = {"ab": _step_ab_core, "mu": _step_mu_as_ab}
-
-
 def run_sample(
     init: ABState, data: Dataset, stop: StopRule = StopRule(), form: str = "ab"
 ) -> Trajectory:
@@ -298,9 +289,15 @@ def run_sample(
     """
     if init.dim != data.dim:
         raise DimensionMismatch(f"init has dimension {init.dim}, data has {data.dim}")
-    try:
-        step = _FORMS[form]
-    except KeyError:
-        raise ValueError(f"form must be one of {sorted(_FORMS)}, got {form!r}") from None
-    states, ps, converged = _drive(init, stop, lambda state: step(state, data), state_distance)
-    return _trajectory([s.a for s in states], [s.b for s in states], ps, converged, data.model)
+    if form not in ("ab", "mu"):
+        raise ValueError(f"form must be one of ['ab', 'mu'], got {form!r}")
+    d, mu_form = data.dim, form == "mu"
+
+    def step(z: np.ndarray) -> tuple[np.ndarray, float]:
+        u, v, p_hat = _sample_step(z[:d], z[d:], data, mu_form)
+        # a mu step lands in (mu1, mu2); to_ab's arithmetic puts it in (a, b)
+        return np.concatenate((0.5 * (u + v), 0.5 * (v - u)) if mu_form else (u, v)), p_hat
+
+    states, ps, converged = _drive(np.concatenate((init.a, init.b)), stop, step)
+    z = np.array(states)
+    return _trajectory(z[:, :d], z[:, d:], ps, converged, data.model)

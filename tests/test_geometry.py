@@ -60,6 +60,8 @@ class TestContainers:
             MixtureModel(2, [1.0])
         with pytest.raises(ValueError):
             MixtureModel(1, [float("inf")])
+        with pytest.raises(ValueError):
+            MixtureModel(True, [1.0])
 
     def test_norm_theta(self):
         assert MixtureModel(2, [3.0, 4.0]).norm_theta == 5.0

@@ -51,11 +51,16 @@ class TestSpecValidation:
         lambda: QuadratureSpec(64, abs_tol=math.inf),
         lambda: QuadratureSpec(64, abs_tol=math.nan),
         lambda: StopRule(True, 1e-10),
-    ], ids=["fractional-nodes", "float-nodes", "infinite-tol", "nan-tol", "bool-budget"])
+        lambda: StopRule(10, True),
+        lambda: StopRule(10, math.inf),
+        lambda: StopRule(10, math.nan),
+    ], ids=["fractional-nodes", "float-nodes", "infinite-tol", "nan-tol", "bool-budget",
+            "bool-step-tol", "infinite-step-tol", "nan-step-tol"])
     def test_rejects_what_the_cli_rejects(self, make):
         """A float node count would fail deep in scipy, an infinite tolerance
-        would switch off the N/2N self-check, and True would be a budget of
-        one step; each is refused when the spec or rule is built."""
+        would switch off the N/2N self-check, True would be a budget of one
+        step, and an infinite step_tol would stop every run after its first
+        step; each is refused when the spec or rule is built."""
         with pytest.raises(ValueError):
             make()
 
@@ -138,6 +143,16 @@ class TestSelfCheck:
         rough = QuadratureSpec(nodes_per_lobe=16, abs_tol=1e-12)
         with pytest.raises(NonConvergence):
             integrate_against_gaussian(lambda y: np.cos(40.0 * y * y), 0.0, rough)
+
+    def test_nan_gap_does_not_settle(self):
+        """A NaN point gives a NaN gap, which is no settled value: the check
+        raises and names that point, in a batch too."""
+        with pytest.raises(NonConvergence, match="at x_a nan, x_b 1.0, x_theta 1.0 did not settle"):
+            kernel_pgs(math.nan, 1.0, 1.0)
+        with pytest.raises(NonConvergence, match=r"at center 1.0 did not settle: \|I_2N - I_N\| = nan"):
+            kernel_f(math.nan, 1.0)
+        with pytest.raises(NonConvergence, match="at x_a nan, x_b 1.0, x_theta 1.0 did not settle"):
+            kernel_pgs(np.array([0.3, math.nan]), 1.0, 1.0)
 
     def test_smooth_integrand_passes_at_low_order(self):
         rough = QuadratureSpec(nodes_per_lobe=32, abs_tol=1e-9)

@@ -294,6 +294,41 @@ class TestRunSample:
             t_ab.final_state.b, t_mu.final_state.b, atol=1e-10
         )
 
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_run_steps_are_the_public_steps(self, d):
+        """Over one row block plus 7 rows, an ab-form run is a chain of
+        model2_step_ab bit for bit, a mu-form run the chain of
+        to_ab(model2_step_mu(from_ab(.))) to rounding, and a run with
+        step_tol > 0 stops at the first step whose math.dist is below it."""
+        n = _block_rows(d) + 7
+        data = sample_mixture(MixtureModel(d, np.linspace(0.4, 1.2, d)), n, [d, 9])
+        init = ABState(np.linspace(-0.2, 0.1, d), np.linspace(0.3, -0.5, d))
+        chain_ab, chain_mu = [init], [init]
+        for _ in range(11):
+            chain_ab.append(model2_step_ab(chain_ab[-1], data))
+            chain_mu.append(to_ab(model2_step_mu(from_ab(chain_mu[-1]), data)))
+
+        t_ab = run_sample(init, data, StopRule(11, 0.0), form="ab")
+        assert t_ab.records["a"].tobytes() == np.array([s.a for s in chain_ab]).tobytes()
+        assert t_ab.records["b"].tobytes() == np.array([s.b for s in chain_ab]).tobytes()
+        assert t_ab.final_state.a.tobytes() == chain_ab[-1].a.tobytes()
+        assert t_ab.final_state.b.tobytes() == chain_ab[-1].b.tobytes()
+
+        t_mu = run_sample(init, data, StopRule(11, 0.0), form="mu")
+        for key in ("a", "b"):
+            np.testing.assert_allclose(
+                t_mu.records[key], [getattr(s, key) for s in chain_mu], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(t_mu.final_state.b, chain_mu[-1].b, rtol=0, atol=1e-14)
+
+        moves = [math.dist(np.concatenate((x.a, x.b)), np.concatenate((y.a, y.b)))
+                 for x, y in zip(chain_ab[1:], chain_ab)]
+        tol = moves[4]
+        first = next(t for t, moved in enumerate(moves) if moved < tol)
+        stopped = run_sample(init, data, StopRule(11, tol))
+        assert stopped.converged
+        assert len(stopped) == first + 1
+        assert stopped.final_state.b.tobytes() == chain_ab[first + 1].b.tobytes()
+
     def test_unknown_form_rejected(self):
         data = sample_mixture(MODEL_2D, 10, 0)
         with pytest.raises(ValueError):
