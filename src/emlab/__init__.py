@@ -53,7 +53,6 @@ from .landscape import (
     StationaryReport,
     classify_stationary,
     expected_loglik,
-    fixed_stationary_correspondence,
     grad_G,
 )
 from .population import (
@@ -63,7 +62,6 @@ from .population import (
     a_priori_bounds,
     model1_step,
     model2_step,
-    posterior_mass,
     run,
     run_model1,
 )
@@ -109,7 +107,6 @@ __all__ = [
     "coupled_run",
     "eval_aux_bounds",
     "expected_loglik",
-    "fixed_stationary_correspondence",
     "from_ab",
     "grad_G",
     "kernel_f",
@@ -125,7 +122,6 @@ __all__ = [
     "model2_step_ab",
     "model2_step_mu",
     "planar_reduce",
-    "posterior_mass",
     "rate_fit",
     "run",
     "run_model1",

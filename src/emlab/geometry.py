@@ -48,6 +48,17 @@ def _as_vector(value, name: str) -> np.ndarray:
     return arr
 
 
+def _init_pair(container, **pair) -> None:
+    """Set the two vector fields of a frozen container, each checked by
+    _as_vector, after checking that their lengths agree."""
+    name1, name2 = pair
+    v1, v2 = (_as_vector(value, name) for name, value in pair.items())
+    if v1.size != v2.size:
+        raise DimensionMismatch(f"{name1} has length {v1.size} but {name2} has length {v2.size}")
+    object.__setattr__(container, name1, v1)
+    object.__setattr__(container, name2, v2)
+
+
 @dataclass(frozen=True, eq=False)
 class MixtureModel:
     """Ground truth: dimension and the true half-separation vector."""
@@ -79,14 +90,7 @@ class MeanPair:
     mu2: np.ndarray
 
     def __init__(self, mu1, mu2) -> None:
-        v1 = _as_vector(mu1, "mu1")
-        v2 = _as_vector(mu2, "mu2")
-        if v1.size != v2.size:
-            raise DimensionMismatch(
-                f"mu1 has length {v1.size} but mu2 has length {v2.size}"
-            )
-        object.__setattr__(self, "mu1", v1)
-        object.__setattr__(self, "mu2", v2)
+        _init_pair(self, mu1=mu1, mu2=mu2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,14 +101,7 @@ class ABState:
     b: np.ndarray
 
     def __init__(self, a, b) -> None:
-        va = _as_vector(a, "a")
-        vb = _as_vector(b, "b")
-        if va.size != vb.size:
-            raise DimensionMismatch(
-                f"a has length {va.size} but b has length {vb.size}"
-            )
-        object.__setattr__(self, "a", va)
-        object.__setattr__(self, "b", vb)
+        _init_pair(self, a=a, b=b)
 
     @property
     def dim(self) -> int:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import ABState, MeanPair, MixtureModel, _norm, state_distance, to_ab
+from .geometry import ABState, MeanPair, MixtureModel, _norm, to_ab
 # not called here; kept importable because the benchmark tracer (perfbench/spans.py) wraps it
 from .geometry import planar_reduce  # noqa: F401
 from .population import model2_step
@@ -102,11 +102,6 @@ def grad_G(
     return -q_vec - means.mu1 * (1.0 - p), q_vec - means.mu2 * p
 
 
-def _full_grad(state: ABState, model: MixtureModel, spec: QuadratureSpec) -> np.ndarray:
-    g1, g2 = grad_G(MeanPair(state.a - state.b, state.a + state.b), model, spec)
-    return np.concatenate([g1, g2])
-
-
 def _symmetric_grad(theta: np.ndarray, model: MixtureModel, spec: QuadratureSpec) -> np.ndarray:
     """Gradient of the symmetric restriction g(theta) = G(-theta, theta)."""
     g1, g2 = grad_G(MeanPair(-theta, theta), model, spec)
@@ -167,14 +162,3 @@ def classify_stationary(
     else:
         label = Classification.UNRESOLVED
     return StationaryReport(point, gnorm, tuple(float(v) for v in eigs), label)
-
-
-def fixed_stationary_correspondence(
-    point: ABState, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC
-) -> bool:
-    """Check that 'fixed point of the update' and 'stationary point of G'
-    agree at `point` (both true or both false)."""
-    new_state, _ = model2_step(point, model, spec)
-    moved = state_distance(new_state, point)
-    gnorm = float(np.linalg.norm(_full_grad(point, model, spec)))
-    return (moved <= 1e-8) == (gnorm <= _GRAD_TOL)

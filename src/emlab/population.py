@@ -154,12 +154,6 @@ def model2_step(
     return ABState(_lift(a1, a2, e1, u2), _lift(b1, b2, e1, u2)), p
 
 
-def posterior_mass(state: ABState, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """The scalar p for one step taken from ``state``; exactly 0.5 whenever
-    <a, b> == 0 (in particular for b == 0)."""
-    return model2_step(state, model, spec)[1]
-
-
 def model1_step(theta, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
     """One population step of the locked-means model: the b part of the
     free-means step from (0, theta), whose midpoint stays exactly 0; 0 maps

@@ -26,10 +26,11 @@ Model 1 is the a = 0 slice of the same pass: theta+ = m/n with b = theta.
 
 One sample step, _sample_step, makes the weight pass and the p_hat check at
 (a, b) and returns the mu or the ab update with p_hat; the public steps call
-it after one dimension check.  run_sample checks init and form once, then
-steps the flat vector (a || b) through the driver it shares with ``run``
-(population._drive), which measures each move with math.dist; a mu step's
-means return to (a, b) by to_ab's arithmetic, with no container built.
+it after _check_dim, the one dimension check of every public entry point.
+run_sample checks init and form once, then steps the flat vector (a || b)
+through the driver it shares with ``run`` (population._drive), which
+measures each move with math.dist; a mu step's means return to (a, b) by
+to_ab's arithmetic, with no container built.
 
 The pass runs over row blocks of about 256 KB: each block gives its t, its
 share of s and its share of m, and the shares are added in block order, so
@@ -53,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateWeights, DimensionMismatch
-from .geometry import ABState, MeanPair, MixtureModel, to_ab
+from .geometry import ABState, MeanPair, MixtureModel, _as_vector, to_ab
 from .landscape import _log_cosh
 from .population import _P_INTERIOR, StopRule, Trajectory, _drive, _trajectory
 
@@ -229,23 +230,23 @@ def _sample_step(a: np.ndarray, b: np.ndarray, data: Dataset, mu_form: bool) -> 
     return q_hat * ((1.0 - 2.0 * p_hat) / denom) + shift, q_hat / denom - shift, p_hat
 
 
-def model1_step_sample(theta_hat: np.ndarray, data: Dataset) -> np.ndarray:
+def _check_dim(name: str, dim: int, data: Dataset) -> None:
+    """The dimension check of every public sample entry point."""
+    if dim != data.dim:
+        raise DimensionMismatch(f"{name} has dimension {dim}, data has {data.dim}")
+
+
+def model1_step_sample(theta_hat, data: Dataset) -> np.ndarray:
     """One sample EM step for the symmetric model: (1/n) sum tanh(<y,theta>) y."""
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    if theta_hat.shape != (data.dim,):
-        raise DimensionMismatch(
-            f"theta_hat has shape {theta_hat.shape}, expected ({data.dim},)"
-        )
+    theta_hat = _as_vector(theta_hat, "theta_hat")
+    _check_dim("theta_hat", theta_hat.size, data)
     # the a = 0 slice of the weight pass, where p = 1/2 needs no check
     return _weight_pass(data.data, theta_hat, 0.0)[1] / data.n
 
 
 def model2_step_mu(means: MeanPair, data: Dataset) -> MeanPair:
     """One sample EM step in the (mu1, mu2) parameterization."""
-    if means.mu1.shape != (data.dim,):
-        raise DimensionMismatch(
-            f"means have dimension {means.mu1.shape[0]}, data has {data.dim}"
-        )
+    _check_dim("means", means.mu1.size, data)
     state = to_ab(means)
     mu1, mu2, _ = _sample_step(state.a, state.b, data, True)
     return MeanPair(mu1, mu2)
@@ -253,10 +254,7 @@ def model2_step_mu(means: MeanPair, data: Dataset) -> MeanPair:
 
 def model2_step_ab(state: ABState, data: Dataset) -> ABState:
     """One sample EM step in (a, b) coordinates; same algebra as the mu-form."""
-    if state.dim != data.dim:
-        raise DimensionMismatch(
-            f"state has dimension {state.dim}, data has {data.dim}"
-        )
+    _check_dim("state", state.dim, data)
     a, b, _ = _sample_step(state.a, state.b, data, False)
     return ABState(a, b)
 
@@ -267,10 +265,7 @@ def sample_loglik(state: ABState, data: Dataset) -> float:
     log density = -d/2 log(2 pi) - (|y-a|^2 + |b|^2)/2 + log cosh(<y-a, b>),
     with log cosh evaluated as |z| + log1p(exp(-2|z|)) - log 2 to stay finite.
     """
-    if state.dim != data.dim:
-        raise DimensionMismatch(
-            f"state has dimension {state.dim}, data has {data.dim}"
-        )
+    _check_dim("state", state.dim, data)
     resid = data.data - state.a
     z = resid @ state.b
     quad = 0.5 * (np.einsum("ij,ij->i", resid, resid) + state.b @ state.b)
@@ -287,8 +282,7 @@ def run_sample(
     used; a converged run does not append the post-step state as a row (it
     is Trajectory.final_state).
     """
-    if init.dim != data.dim:
-        raise DimensionMismatch(f"init has dimension {init.dim}, data has {data.dim}")
+    _check_dim("init", init.dim, data)
     if form not in ("ab", "mu"):
         raise ValueError(f"form must be one of ['ab', 'mu'], got {form!r}")
     d, mu_form = data.dim, form == "mu"

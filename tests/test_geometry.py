@@ -70,6 +70,19 @@ class TestContainers:
         with pytest.raises(DimensionMismatch):
             ABState([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("pair, names", [(ABState, ("a", "b")), (MeanPair, ("mu1", "mu2"))])
+    def test_pair_check_names_its_fields(self, pair, names):
+        """Both containers share one check, and its messages name the
+        container's own fields."""
+        first, second = names
+        with pytest.raises(DimensionMismatch, match=f"^{first} has length 2 but {second} has length 1$"):
+            pair([1.0, 2.0], [1.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{first} must be finite$"):
+                pair([bad, 0.0], [1.0, 2.0])
+            with pytest.raises(ValueError, match=f"^{second} must be finite$"):
+                pair([1.0, 2.0], [0.0, bad])
+
     def test_vectors_are_frozen(self):
         state = ABState([1.0, 0.0], [0.0, 1.0])
         with pytest.raises(ValueError):

@@ -14,9 +14,10 @@ from emlab import (
     MixtureModel,
     classify_stationary,
     expected_loglik,
-    fixed_stationary_correspondence,
     grad_G,
+    model2_step,
 )
+from emlab.geometry import state_distance
 
 MODEL_1D = MixtureModel(1, [1.0])
 MODEL_2D = MixtureModel(2, [0.8, 0.6])
@@ -129,6 +130,17 @@ class TestClassification:
         assert report.classification is Classification.UNRESOLVED
         assert report.grad_norm > 1e-6
         assert report.hessian_eigs == ()
+
+
+def fixed_stationary_correspondence(point: ABState, model: MixtureModel) -> bool:
+    """Whether 'fixed point of the update' (a step moves the state by at most
+    1e-8) and 'stationary point of G' (gradient norm at most 1e-6) agree at
+    ``point``: both true or both false."""
+    new_state, _ = model2_step(point, model)
+    moved = state_distance(new_state, point)
+    g1, g2 = grad_G(MeanPair(point.a - point.b, point.a + point.b), model)
+    gnorm = float(np.linalg.norm(np.concatenate([g1, g2])))
+    return (moved <= 1e-8) == (gnorm <= 1e-6)
 
 
 class TestFixedStationaryCorrespondence:

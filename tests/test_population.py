@@ -16,7 +16,6 @@ from emlab import (
     model1_step,
     model2_step,
     planar_reduce,
-    posterior_mass,
     run,
     run_model1,
     run_sample,
@@ -52,9 +51,9 @@ class TestStepStructure:
 
     def test_posterior_mass_sign(self):
         """sgn(1/2 - p) follows sgn<a, b>."""
-        assert posterior_mass(ABState([0.3, 0.1], [0.5, 0.2]), MODEL) < 0.5
-        assert posterior_mass(ABState([-0.3, 0.1], [0.5, 0.2]), MODEL) > 0.5
-        assert posterior_mass(ABState([0.0, 0.0], [0.5, 0.2]), MODEL) == 0.5
+        assert model2_step(ABState([0.3, 0.1], [0.5, 0.2]), MODEL)[1] < 0.5
+        assert model2_step(ABState([-0.3, 0.1], [0.5, 0.2]), MODEL)[1] > 0.5
+        assert model2_step(ABState([0.0, 0.0], [0.5, 0.2]), MODEL)[1] == 0.5
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -56,6 +56,14 @@ class TestModel1Step:
         with pytest.raises(DimensionMismatch):
             model1_step_sample(np.array([1.0]), data)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_is_refused(self, bad):
+        """tanh saturates, so an infinite entry would give a finite step and
+        a NaN a NaN step; both are refused, as ABState refuses them."""
+        data = sample_mixture(MODEL_2D, 100, 0)
+        with pytest.raises(ValueError, match="^theta_hat must be finite$"):
+            model1_step_sample([bad, 0.5], data)
+
     @pytest.mark.parametrize("d", [1, 2, 8])
     def test_blocked_pass_matches_the_direct_formula(self, d):
         """Over several row blocks the step still equals X^T tanh(X theta)/n."""
@@ -333,6 +341,23 @@ class TestRunSample:
         data = sample_mixture(MODEL_2D, 10, 0)
         with pytest.raises(ValueError):
             run_sample(ABState([0.0, 0.0], [0.5, 0.0]), data, form="theta")
+
+
+def test_dimension_errors_name_the_argument():
+    """Every public sample entry point refuses a 1-d input on 2-d data with
+    one message that names its own argument."""
+    data = sample_mixture(MODEL_2D, 10, 0)
+    state = ABState([0.0], [0.5])
+    calls = [
+        ("theta_hat", lambda: model1_step_sample([0.5], data)),
+        ("means", lambda: model2_step_mu(MeanPair([-0.5], [0.5]), data)),
+        ("state", lambda: model2_step_ab(state, data)),
+        ("state", lambda: sample_loglik(state, data)),
+        ("init", lambda: run_sample(state, data)),
+    ]
+    for name, call in calls:
+        with pytest.raises(DimensionMismatch, match=f"^{name} has dimension 1, data has 2$"):
+            call()
 
 
 @pytest.mark.skipif(
