@@ -323,10 +323,8 @@ def _cmd_run_population(sink, model, spec, init, stop, resolved):
         iters = _b_iterates(traj)
         dists = np.linalg.norm(iters - traj.target, axis=1)
         header = ["t"] + [f"theta_{i}" for i in range(model.dim)] + ["dist"]
-        rows = [
-            (t,) + tuple(float(v) for v in it) + (float(dist),)
-            for t, (it, dist) in enumerate(zip(iters, dists))
-        ]
+        pairs = zip(iters.tolist(), dists.tolist())
+        rows = [(t, *it, dist) for t, (it, dist) in enumerate(pairs)]
         sink.csv("trajectory.csv", header, rows)
         sink.json(
             "summary.json",

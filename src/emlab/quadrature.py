@@ -17,6 +17,12 @@ to 32 nodes keep every node, the default 512/1024-node rules keep 190/270
 weight times (1 + |y|)^4 sums to less than 1e-35, far below the rounding of
 any integrand that grows at most like y^4.
 
+The default 512/1024-node rules ship trimmed in ``gh_rules.npz`` next to this
+module: the bytes of scipy 1.17.1's ``roots_hermite`` under numpy 2.4.6,
+scaled and trimmed as ``_gh_rule`` does.  So the default spec loads no scipy
+and does not depend on the installed one; scipy computes any other node count
+on first use, and a missing table raises.
+
 Mixture integrals are the average of the two lobe sums centered at +x_theta
 and -x_theta.  Every integrator evaluates its rule at N and 2N nodes per lobe
 and raises :class:`NonConvergence` when the two disagree beyond the requested
@@ -37,10 +43,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc, roots_hermite
 
 from .errors import NonConvergence
 
@@ -51,6 +57,9 @@ _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 MIN_NODES_PER_LOBE = 16
 # nodes whose normalised weight lies below this floor are dropped from a rule
 _WEIGHT_FLOOR = 1e-40
+# the trimmed rules stored as y<n>, w<n> for the default spec's node counts
+_STORED_RULES = Path(__file__).with_name("gh_rules.npz")
+_STORED_SIZES = (512, 1024)
 
 
 @dataclass(frozen=True)
@@ -86,12 +95,19 @@ def _gh_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     weight needs (numpy's hermgauss overflows past a few hundred nodes).  Only
     the nodes with normalised weight >= 1e-40 are kept; the rule stays mirror
     symmetric, and the dropped tail, weight times (1 + |y|)^4, sums to less
-    than 1e-35 for every n <= 2048.
+    than 1e-35 for every n <= 2048.  The default sizes are read from the
+    stored table.
     """
-    u, w = roots_hermite(n)
-    w = w * _INV_SQRT_PI
-    live = w >= _WEIGHT_FLOOR
-    y, w = _SQRT2 * u[live], w[live]
+    if n in _STORED_SIZES:
+        with np.load(_STORED_RULES) as table:
+            y, w = table[f"y{n}"], table[f"w{n}"]
+    else:
+        from scipy.special import roots_hermite
+
+        u, w = roots_hermite(n)
+        w = w * _INV_SQRT_PI
+        live = w >= _WEIGHT_FLOOR
+        y, w = _SQRT2 * u[live], w[live]
     y.setflags(write=False)
     w.setflags(write=False)
     return y, w
@@ -104,6 +120,8 @@ def std_normal_pdf(x):
 
 def std_normal_cdf(x):
     """Standard normal CDF Phi(x) via erfc; absolute error well below 1e-14."""
+    from scipy.special import erfc
+
     return 0.5 * erfc(-x / _SQRT2)
 
 

@@ -176,14 +176,16 @@ def sample_mixture(model: MixtureModel, n: int, seed) -> Dataset:
     zeta *= 2
     zeta -= 1
     omega = rng.standard_normal(out=_fresh(n, model.dim))
-    # add zeta_i * theta_star in place, a block at a time: no n x d temporary
+    # add zeta_i * theta_star in place, a block and a column at a time from the
+    # block's signs as floats: no n x d temporary, and +-theta_j is exact
     rows = _block_rows(model.dim)
-    shift = np.empty((min(rows, n), model.dim))
+    signs, shift = np.empty(min(rows, n)), np.empty(min(rows, n))
     for start in range(0, n, rows):
         block = omega[start:start + rows]
-        sb = shift[:len(block)]
-        np.multiply(zeta[start:start + rows, None], model.theta_star, out=sb)
-        block += sb
+        sb, tb = signs[:len(block)], shift[:len(block)]
+        np.copyto(sb, zeta[start:start + rows])
+        for j, theta_j in enumerate(model.theta_star):
+            block[:, j] += np.multiply(sb, theta_j, out=tb)
     # a fresh finite draw referenced nowhere else: adopt it without the
     # copy and the finiteness scan that outside arrays get
     dataset = Dataset.__new__(Dataset)

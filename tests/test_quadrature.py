@@ -2,13 +2,18 @@
 and an independent adaptive-Simpson oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import roots_hermite
+from scipy.special import erfc, roots_hermite
 
+import emlab
 from emlab import (
     NonConvergence,
     QuadratureSpec,
@@ -221,3 +226,38 @@ class TestTrimmedRule:
         finally:
             quadrature._gh_pair.cache_clear()
         assert np.all(np.abs(trimmed - full) <= 2e-15 * np.maximum(1.0, np.abs(full)))
+
+
+class TestStoredRules:
+    """The default 512/1024-node rules come from the table stored next to
+    quadrature.py (TestTrimmedRule pins its bytes against roots_hermite), so
+    the default spec needs no scipy."""
+
+    def test_default_spec_loads_no_scipy(self):
+        code = (
+            "import sys, emlab, emlab.cli; emlab.kernel_pgs(0.5, 1.0, 1.0); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(emlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                              check=True, capture_output=True, text=True, timeout=120)
+        assert done.stdout.split() == ["[]"]
+
+    def test_a_missing_table_raises(self, tmp_path, monkeypatch):
+        """No silent fallback to scipy: a packaging slip must show."""
+        monkeypatch.setattr(quadrature, "_STORED_RULES", tmp_path / "gh_rules.npz")
+        _gh_rule.cache_clear()
+        try:
+            with pytest.raises(FileNotFoundError):
+                _gh_rule(512)
+        finally:
+            _gh_rule.cache_clear()
+
+    def test_stored_rules_are_read_only(self):
+        for n in (512, 1024):
+            assert not any(a.flags.writeable for a in _gh_rule(n))
+
+    def test_cdf_is_scipy_erfc_bit_for_bit(self):
+        x = np.linspace(-12.0, 12.0, 97)
+        assert std_normal_cdf(x).tobytes() == (0.5 * erfc(-x / math.sqrt(2.0))).tobytes()
