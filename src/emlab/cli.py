@@ -38,7 +38,7 @@ from .landscape import expected_loglik
 from .population import StopRule, _b_iterates, run
 # not called here; kept importable because the benchmark tracer (perfbench/spans.py) wraps it
 from .population import run_model1  # noqa: F401
-from .quadrature import MIN_NODES_PER_LOBE, QuadratureSpec
+from .quadrature import DEFAULT_SPEC, MIN_NODES_PER_LOBE, QuadratureSpec
 from .sampling import run_sample, sample_mixture
 
 _KEYS = {  # the top-level keys each command reads; any other key is a config error
@@ -143,15 +143,18 @@ _SCHEMA = {
         "sigma": (_list, None, (1, _list, _VECTOR)),  # d rows of length d
     },
     "quadrature": {
-        "nodes_per_lobe": (_int, 512, MIN_NODES_PER_LOBE),
-        "abs_tol": (_float, 1e-10, ">0"),
+        "nodes_per_lobe": (_int, DEFAULT_SPEC.nodes_per_lobe, MIN_NODES_PER_LOBE),
+        "abs_tol": (_float, DEFAULT_SPEC.abs_tol, ">0"),
     },
     "init": {  # a, b (default 0, theta*/2) when free, theta (default theta*/2) when symmetric
         "a": (_list, None, _VECTOR),
         "b": (_list, None, _VECTOR),
         "theta": (_list, None, _VECTOR),
     },
-    "stop": {"max_iters": (_int, 10_000, 1), "step_tol": (_float, 1e-10, ">=0")},
+    "stop": {
+        "max_iters": (_int, StopRule.max_iters, 1),
+        "step_tol": (_float, StopRule.step_tol, ">=0"),
+    },
     "slice": {
         "a_lo": (_float, -1.0, None),
         "a_hi": (_float, 1.0, None),

@@ -17,24 +17,27 @@ Delta(y, x_theta), or a single Gaussian lobe:
     F(x_b, x_theta)          = int tanh(u x_b) u phi(u - x_theta) du
     K(x, x_b)                = int 0.5 tanh(y x_b) phi(y - x) dy
 
-P, Gamma and S come from one core, kernel_pgs (kernel_p, kernel_gamma and
-kernel_s are views of it), which sums t = tanh((y - x_a) x_b) = 2w - 1 over
-each lobe: T0 = int t phi(y -+ x_theta) dy, T1 = int t y phi(y -+ x_theta) dy,
+All six are views of one core, _tanh_sums, which sums t = tanh((y - x_a) x_b)
+= 2w - 1 against a lobe at c: T0(x_a, x_b, c) = int t phi(y - c) dy and
+T1(x_a, x_b, c) = int t y phi(y - c) dy.  With T0+-, T1+- at c = +-x_theta,
 
     P = 1/2 + (T0+ + T0-)/4,   Gamma = (T1+ + T1-)/4,   S = (T0+ - T0-)/4,
+    F = T1(0, x_b, x_theta),   K = T0(0, x_b, x) / 2,   R = T1(x, x_b, 0) / 4
 
-so P(x_a, 0, x_theta) == 0.5, S(x_a, x_b, +-0.0) == 0.0 and
-Gamma(0, x_b, 0) == F(x_b, 0) / 2 hold bit for bit.  At x_theta == +-0.0 the
-lobes are one (+-0.0 + nodes is the same array), so a call whose every
-x_theta is +-0.0 sums it once.
+(R drops the constant half of w, as int y phi(y) dy = 0), so
+P(x_a, 0, x_theta) == 0.5, S(x_a, x_b, +-0.0) == 0.0, R(0, x) == 0.0 and
+Gamma(0, x_b, 0) == F(x_b, 0) / 2 hold bit for bit.  kernel_pgs sums both
+lobes in one pass (kernel_p, kernel_gamma and kernel_s are views of it); at
+x_theta == +-0.0 the lobes are one (+-0.0 + nodes is the same array), so a
+call whose every x_theta is +-0.0 sums it once.
 
 Every kernel takes floats or 1-D arrays of points (broadcast against each
 other): floats in give floats out, arrays in give one array per value.
 Both lobes of every point under both rules (N and 2N nodes) go through one
 array pass, and each lobe sum is its own BLAS dot over the node axis, so a
 point's values equal its one-point call bit for bit, however the points are
-split between calls.  The N/2N self-check runs per point, and NonConvergence
-names the worst point.
+split between calls.  The N/2N self-check runs per point on the kernel's
+own values, and NonConvergence names every coordinate of the worst point.
 
 The kernel_* functions accept any finite real x_a / x_theta: the integrals
 are well defined there, and the planar reduction of the population step
@@ -67,12 +70,12 @@ from .quadrature import (
     _gh_pair,
     _self_checked,
     _two_rules,
-    integrate_against_gaussian,
     std_normal_cdf,
     std_normal_pdf,
 )
 # not called here; kept importable because the benchmark tracer (perfbench/spans.py) wraps them
-from .quadrature import integrate_against_mixture, integrate_against_mixture_diff  # noqa: F401
+from .quadrature import (integrate_against_gaussian, integrate_against_mixture,  # noqa: F401
+                         integrate_against_mixture_diff)
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # points per kernel call in tabulate: small enough that a call's node block
@@ -80,15 +83,27 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _CHUNK = 64
 
 
-def weight_1d(u, x_b):
-    """Soft assignment weight 0.5*(1 + tanh(u * x_b)); broadcasts."""
-    return 0.5 * (1.0 + np.tanh(u * x_b))
-
-
 def _points(*values) -> list[np.ndarray]:
     """The arguments as float arrays of one broadcast shape."""
     points = [np.asarray(v, dtype=float) for v in values]
     return np.broadcast_arrays(*points) if any(p.ndim for p in points) else points
+
+
+def _tanh_sums(x_a, x_b, centers: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
+    """sums[r, k, lobe]: rule r (N, 2N) of t = tanh((y - x_a) x_b) (k = 0)
+    and of t * y (k = 1) against the lobe phi(y - c) at each of ``centers``
+    (lobes stacked along axis 0, each of the point shape)."""
+    nodes, w_n, w_2n = _gh_pair(spec.nodes_per_lobe)
+    # block = (t, t * y) on the nodes y of both rules, built in place so a
+    # chunk of points holds no temporaries
+    block = np.empty((2,) + centers.shape + nodes.shape)
+    t, ty = block
+    np.add(centers[..., None], nodes, out=ty)
+    np.subtract(ty, np.asarray(x_a)[..., None], out=t)
+    t *= x_b[..., None]
+    np.tanh(t, out=t)
+    ty *= t
+    return _two_rules(block, w_n, w_2n)
 
 
 def kernel_pgs(x_a, x_b, x_theta, spec: QuadratureSpec = DEFAULT_SPEC) -> tuple:
@@ -98,18 +113,7 @@ def kernel_pgs(x_a, x_b, x_theta, spec: QuadratureSpec = DEFAULT_SPEC) -> tuple:
     at small x_b."""
     x_a, x_b, x_t = _points(x_a, x_b, x_theta)
     centers = np.array((x_t, -x_t) if np.count_nonzero(x_t) else (x_t,))
-    nodes, w_n, w_2n = _gh_pair(spec.nodes_per_lobe)
-    # block = (t, t * y) on the nodes y of both rules, built in place so a
-    # chunk of points holds no temporaries
-    block = np.empty((2,) + centers.shape + nodes.shape)
-    t, ty = block
-    np.add(centers[..., None], nodes, out=ty)
-    np.subtract(ty, x_a[..., None], out=t)
-    t *= x_b[..., None]
-    np.tanh(t, out=t)
-    ty *= t
-    # sums[r, k, lobe]: rule r (N, 2N) of t (k = 0) and t * y (k = 1)
-    sums = _two_rules(block, w_n, w_2n)
+    sums = _tanh_sums(x_a, x_b, centers, spec)
     plus, minus = sums[:, :, 0], sums[:, :, -1]
     # values[r] = (P, Gamma, S) under rule r
     values = np.empty((2, 3) + x_t.shape)
@@ -118,10 +122,8 @@ def kernel_pgs(x_a, x_b, x_theta, spec: QuadratureSpec = DEFAULT_SPEC) -> tuple:
     values *= 0.25
     values[:, 0] += 0.5
     coarse, fine = values
-    pgs = _self_checked(
-        coarse, fine, "(P, Gamma, S) quadrature", {"x_a": x_a, "x_b": x_b, "x_theta": x_t}, spec
-    )
-    return tuple(pgs.tolist() if pgs.ndim == 1 else pgs)
+    points = {"x_a": x_a, "x_b": x_b, "x_theta": x_t}
+    return tuple(_self_checked(coarse, fine, "(P, Gamma, S) quadrature", points, spec))
 
 
 def kernel_p(x_a, x_b, x_theta, spec: QuadratureSpec = DEFAULT_SPEC):
@@ -140,26 +142,24 @@ def kernel_s(x_a, x_b, x_theta, spec: QuadratureSpec = DEFAULT_SPEC):
 
 
 def kernel_r(x_b, x, spec: QuadratureSpec = DEFAULT_SPEC):
-    """0.5 * int w(y - x, x_b) * y * phi(y) dy; even in x, zero at x_b == 0."""
+    """0.5 * int w(y - x, x_b) * y * phi(y) dy = T1(x, x_b, 0)/4; even in x, 0.0 at x_b == 0."""
     x_b, x = _points(x_b, x)
-    b, c = x_b[..., None], x[..., None]
-    return 0.5 * integrate_against_gaussian(
-        lambda y: weight_1d(y - c, b) * y, np.zeros_like(x), spec
-    )
+    coarse, fine = 0.25 * _tanh_sums(x, x_b, np.zeros((1,) + x.shape), spec)[:, 1, 0]
+    return _self_checked(coarse, fine, "R quadrature", {"x_b": x_b, "x": x}, spec)
 
 
 def kernel_f(x_b, x_theta, spec: QuadratureSpec = DEFAULT_SPEC):
-    """int tanh(u * x_b) * u * phi(u - x_theta) du; exactly 0.0 at x_b == 0."""
-    x_b, x_theta = _points(x_b, x_theta)
-    b = x_b[..., None]
-    return integrate_against_gaussian(lambda u: np.tanh(u * b) * u, x_theta, spec)
+    """int tanh(u x_b) u phi(u - x_theta) du = T1(0, x_b, x_theta); exactly 0.0 at x_b == 0."""
+    x_b, x_t = _points(x_b, x_theta)
+    coarse, fine = _tanh_sums(0.0, x_b, x_t[None], spec)[:, 1, 0]
+    return _self_checked(coarse, fine, "F quadrature", {"x_b": x_b, "x_theta": x_t}, spec)
 
 
 def kernel_k(x, x_b, spec: QuadratureSpec = DEFAULT_SPEC):
-    """int 0.5 * tanh(y * x_b) * phi(y - x) dy; exactly 0.0 at x_b == 0."""
+    """int 0.5 * tanh(y * x_b) * phi(y - x) dy = T0(0, x_b, x)/2; exactly 0.0 at x_b == 0."""
     x, x_b = _points(x, x_b)
-    b = x_b[..., None]
-    return integrate_against_gaussian(lambda y: 0.5 * np.tanh(y * b), x, spec)
+    coarse, fine = 0.5 * _tanh_sums(0.0, x_b, x[None], spec)[:, 0, 0]
+    return _self_checked(coarse, fine, "K quadrature", {"x": x, "x_b": x_b}, spec)
 
 
 class AuxBounds(NamedTuple):

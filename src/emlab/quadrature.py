@@ -154,15 +154,16 @@ def _lobe_sums(f: Callable, centers: np.ndarray, spec: QuadratureSpec) -> np.nda
 
 def _self_checked(
     coarse: np.ndarray, fine: np.ndarray, what: str, points: dict, spec: QuadratureSpec
-) -> np.ndarray:
+):
     """``fine``, the 2N-node values, after checking them against ``coarse``,
     the N-node ones.  Both hold any number of values per point, stacked in
-    front of the shape of the point arrays in ``points`` (name -> array); on
+    front of the shape of the point arrays in ``points`` (name -> array); 0-d
+    points give Python floats (a float, or a list of one per value).  On
     failure the message names the point with the largest gap, or the first
     point whose gap is NaN: a NaN gap has not settled."""
+    shape = next(iter(points.values())).shape
     gap = np.abs(fine - coarse)
     if not np.all(gap <= spec.abs_tol):
-        shape = next(iter(points.values())).shape
         gap = np.max(gap.reshape((-1,) + shape), axis=0)
         worst = np.unravel_index(np.argmax(gap), shape)
         where = ", ".join(f"{name} {float(value[worst])!r}" for name, value in points.items())
@@ -170,19 +171,14 @@ def _self_checked(
             f"{what} at {where} did not settle: "
             f"|I_2N - I_N| = {gap[worst]:.3e} > {spec.abs_tol:.3e}"
         )
-    return fine
-
-
-def _scalar_or_array(values: np.ndarray):
-    """A 0-d result as a Python float, any other as the array itself."""
-    return float(values) if values.ndim == 0 else values
+    return fine if shape else fine.tolist()
 
 
 def integrate_against_gaussian(f: Callable, center, spec: QuadratureSpec = DEFAULT_SPEC):
     """int f(y) phi(y - center) dy with the two-resolution self-check."""
     c = np.asarray(center, dtype=float)
     coarse, fine = _lobe_sums(f, c, spec)
-    return _scalar_or_array(_self_checked(coarse, fine, "Gaussian quadrature", {"center": c}, spec))
+    return _self_checked(coarse, fine, "Gaussian quadrature", {"center": c}, spec)
 
 
 def _mixture(f: Callable, x_theta, sign: float, what: str, spec: QuadratureSpec):
@@ -190,7 +186,7 @@ def _mixture(f: Callable, x_theta, sign: float, what: str, spec: QuadratureSpec)
     x_t = np.asarray(x_theta, dtype=float)
     sums = _lobe_sums(f, np.array((x_t, -x_t)), spec)
     coarse, fine = 0.5 * (sums[:, 0] + sign * sums[:, 1])
-    return _scalar_or_array(_self_checked(coarse, fine, what, {"x_theta": x_t}, spec))
+    return _self_checked(coarse, fine, what, {"x_theta": x_t}, spec)
 
 
 def integrate_against_mixture(f: Callable, x_theta, spec: QuadratureSpec = DEFAULT_SPEC):

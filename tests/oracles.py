@@ -1,10 +1,17 @@
-"""Reference implementations for the tests: an adaptive-Simpson integrator
-and the one-dimensional mixture density, independent of the Gauss-Hermite
-path that emlab integrates with."""
+"""Reference implementations for the tests: an adaptive-Simpson integrator,
+the one-dimensional mixture density and the soft assignment weight,
+independent of the Gauss-Hermite path that emlab integrates with."""
 
 from typing import Callable
 
+import numpy as np
+
 from emlab.quadrature import std_normal_pdf
+
+
+def weight_1d(u, x_b):
+    """Soft assignment weight 0.5*(1 + tanh(u * x_b)); broadcasts."""
+    return 0.5 * (1.0 + np.tanh(u * x_b))
 
 
 def mixture_pdf_1d(y, x_theta):

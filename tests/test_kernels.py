@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emlab import (
@@ -27,31 +27,17 @@ from emlab import (
     kernel_r,
     kernel_s,
 )
-from emlab.kernels import SQRT_2_OVER_PI, tabulate, weight_1d
+from emlab.kernels import SQRT_2_OVER_PI, tabulate
 from emlab.quadrature import (
     DEFAULT_SPEC,
     _gh_rule,
+    integrate_against_gaussian,
     std_normal_cdf,
     std_normal_pdf,
 )
-from oracles import adaptive_simpson, mixture_pdf_1d
+from oracles import adaptive_simpson, mixture_pdf_1d, weight_1d
 
 coord = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
-
-
-class TestWeight:
-    def test_complement_is_exact(self):
-        """w(u) + w(-u) = 1 bit for bit (tanh is odd in floating point)."""
-        u = np.linspace(-30.0, 30.0, 1001)
-        assert np.all(weight_1d(u, 1.7) + weight_1d(-u, 1.7) == 1.0)
-
-    def test_saturation(self):
-        # tanh rounds to +-1 near |z| ~ 19, so the weight hits the endpoints exactly
-        assert weight_1d(40.0, 1.0) == 1.0
-        assert weight_1d(-40.0, 1.0) == 0.0
-
-    def test_zero_argument(self):
-        assert weight_1d(0.0, 2.3) == 0.5
 
 
 class TestFrozenValues:
@@ -194,6 +180,38 @@ class TestBatches:
             kernel_pgs(x_a, x_b, x_t, rough)
 
 
+class TestOneCore:
+    """F, K and R are views of the core behind kernel_pgs: F and K keep the
+    bytes of their lobe integrals, and R leaves its w-form by at most the
+    rounding of the constant half it drops (int y phi(y) dy = 0)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(points=st.lists(batch_point, min_size=1, max_size=64))
+    @example(points=[(-4.0, 1e-310, 1.0), (0.3, 1e-310, 0.0), (2.7, 1e-310, -2.0)])
+    def test_F_and_K_equal_their_lobe_integrals_byte_for_byte(self, points):
+        x_a, x_b, x_t = (np.array(axis) for axis in zip(*points))
+        b = x_b[:, None]
+        f = integrate_against_gaussian(lambda u: np.tanh(u * b) * u, x_t)
+        k = integrate_against_gaussian(lambda y: 0.5 * np.tanh(y * b), x_a)
+        assert kernel_f(x_b, x_t).tobytes() == f.tobytes()
+        # K halves its sum once, the lobe integral each term; the two differ
+        # only where the halved terms are subnormal (x_b below ~1e-277)
+        got = kernel_k(x_a, x_b)
+        exact = (x_b == 0.0) | (x_b > 1e-250)
+        assert got[exact].tobytes() == k[exact].tobytes()
+        assert np.all(np.abs(got - k) <= 1e-315)
+
+    @settings(max_examples=40, deadline=None)
+    @given(points=st.lists(batch_point, min_size=1, max_size=64))
+    def test_R_is_its_w_form_to_rounding(self, points):
+        x_a, x_b, _ = (np.array(axis) for axis in zip(*points))
+        a, b = x_a[:, None], x_b[:, None]
+        w_form = 0.5 * integrate_against_gaussian(
+            lambda y: weight_1d(y - a, b) * y, np.zeros_like(x_a)
+        )
+        assert np.all(np.abs(kernel_r(x_b, x_a) - w_form) <= 1e-16)
+
+
 class TestSpotValues:
     def test_P_at_zero_offset(self):
         """P(0, x_b, x_theta) = 1/2: the weight is balanced over the mixture."""
@@ -216,7 +234,7 @@ class TestSpotValues:
         assert kernel_s(0.5, 0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_R_vanishes_at_flat_weight(self):
-        assert kernel_r(0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert kernel_r(0.0, 1.0) == 0.0
 
 
 class TestIdentities:

@@ -154,8 +154,13 @@ class TestSelfCheck:
         raises and names that point, in a batch too."""
         with pytest.raises(NonConvergence, match="at x_a nan, x_b 1.0, x_theta 1.0 did not settle"):
             kernel_pgs(math.nan, 1.0, 1.0)
-        with pytest.raises(NonConvergence, match=r"at center 1.0 did not settle: \|I_2N - I_N\| = nan"):
+        with pytest.raises(NonConvergence, match=r"^F quadrature at x_b nan, x_theta 1.0 did not settle: "
+                                                 r"\|I_2N - I_N\| = nan"):
             kernel_f(math.nan, 1.0)
+        with pytest.raises(NonConvergence, match="^K quadrature at x 1.0, x_b nan did not settle"):
+            kernel_k(1.0, math.nan)
+        with pytest.raises(NonConvergence, match="^R quadrature at x_b nan, x 1.0 did not settle"):
+            kernel_r(math.nan, 1.0)
         with pytest.raises(NonConvergence, match="at x_a nan, x_b 1.0, x_theta 1.0 did not settle"):
             kernel_pgs(np.array([0.3, math.nan]), 1.0, 1.0)
 
