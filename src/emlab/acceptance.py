@@ -41,6 +41,7 @@ from .population import (
     Trajectory,
     _betas,
     _sign_target,
+    _visited,
     a_priori_bounds,
     model2_step,
     run,
@@ -264,9 +265,9 @@ def _pre_floor(traj: Trajectory) -> Trajectory:
 
 
 def _series(traj: Trajectory, model: MixtureModel):
-    """|a|, |b| and sin(beta) for every record plus the final state."""
-    b_rows = np.vstack([traj.records["b"], traj.final_state.b])
-    norm_a = np.linalg.norm(np.vstack([traj.records["a"], traj.final_state.a]), axis=1)
+    """|a|, |b| and sin(beta) for every visited state, the final one once."""
+    b_rows = _visited(traj, "b")
+    norm_a = np.linalg.norm(_visited(traj, "a"), axis=1)
     return norm_a, np.linalg.norm(b_rows, axis=1), np.sin(_betas(b_rows, model))
 
 

@@ -35,7 +35,7 @@ from .geometry import ABState, MeanPair, MixtureModel, whiten
 from .harness import _discrepancies, consistency_ladder, coupled_run
 from .kernels import tabulate
 from .landscape import expected_loglik
-from .population import StopRule, _b_iterates, run
+from .population import StopRule, _visited, run
 # not called here; kept importable because the benchmark tracer (perfbench/spans.py) wraps it
 from .population import run_model1  # noqa: F401
 from .quadrature import DEFAULT_SPEC, MIN_NODES_PER_LOBE, QuadratureSpec
@@ -277,104 +277,82 @@ class _Sink:
             "# config: " + json.dumps(self.resolved, sort_keys=True, separators=(",", ":")),
         ]
 
-    def csv(self, name, header, rows):
-        path = self.dir / name
-        lines = self._preamble()
-        lines.append(",".join(header))
-        lines.extend(",".join(map(str, row)) for row in rows)  # str of a float is its repr
-        path.write_text("\n".join(lines) + "\n")
-        self.written.append(path)
+    def csv(self, name, columns):
+        """A table from named columns, a 2-D column ``x`` spread over ``x_0``,
+        ``x_1``, ...; each cell is the str of a Python scalar, a float's repr."""
+        header, cells = [], []
+        for key, values in columns.items():
+            values = np.asarray(values)
+            if values.ndim == 2:
+                header += [f"{key}_{i}" for i in range(values.shape[1])]
+                cells += values.T.tolist()
+            else:
+                header.append(key)
+                cells.append(values.tolist())
+        lines = self._preamble() + [",".join(header)]
+        lines.extend(",".join(map(str, row)) for row in zip(*cells))
+        self._write(name, "\n".join(lines))
 
     def json(self, name, payload):
-        path = self.dir / name
+        """The provenance fields and ``payload``; a numpy value is written as
+        its Python value (an np.float64 is a float already)."""
         document = {
             "artifact_version": __version__,
             "config_hash": self.hash,
             "config": self.resolved,
         }
         document.update(payload)
-        path.write_text(json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n")
+        self._write(name, json.dumps(document, sort_keys=True, indent=2, allow_nan=False,
+                                     default=lambda value: value.tolist()))
+
+    def _write(self, name, text):
+        path = self.dir / name
+        path.write_text(text + "\n")
         self.written.append(path)
 
 
 # ---------------------------------------------------------------- commands
 
 
-def _columns(records, fields):
-    """The named columns of a records table as lists of Python scalars."""
-    return [records[field].tolist() for field in fields]
-
-
-def _free_rows(traj):
-    """The CSV header and rows of a trajectory: one column per field of its
-    records, a vector field ``a`` spread over ``a_0``, ``a_1``, ..."""
-    header, columns = [], []
-    for name in traj.records.dtype.names:
-        values = traj.records[name]
-        if values.ndim == 2:
-            header += [f"{name}_{i}" for i in range(values.shape[1])]
-            columns += values.T.tolist()
-        else:
-            header.append(name)
-            columns.append(values.tolist())
-    return header, zip(*columns)
-
-
 def _cmd_run_population(sink, model, spec, init, stop, resolved):
     traj = run(init, model, stop, spec)
     if resolved["family"] == "symmetric":
-        iters = _b_iterates(traj)
-        dists = np.linalg.norm(iters - traj.target, axis=1)
-        header = ["t"] + [f"theta_{i}" for i in range(model.dim)] + ["dist"]
-        pairs = zip(iters.tolist(), dists.tolist())
-        rows = [(t, *it, dist) for t, (it, dist) in enumerate(pairs)]
-        sink.csv("trajectory.csv", header, rows)
-        sink.json(
-            "summary.json",
-            {
-                "converged": traj.converged,
-                "steps": len(iters) - 1,
-                "final": [float(v) for v in iters[-1]],
-                "final_dist": float(dists[-1]),
-            },
-        )
+        theta = _visited(traj, "b")
+        dist = np.linalg.norm(theta - traj.target, axis=1)
+        sink.csv("trajectory.csv", {"t": np.arange(len(theta)), "theta": theta, "dist": dist})
+        sink.json("summary.json", {"converged": traj.converged, "steps": len(theta) - 1,
+                                   "final": theta[-1], "final_dist": dist[-1]})
     else:
-        header, rows = _free_rows(traj)
-        sink.csv("trajectory.csv", header, rows)
+        records = traj.records
+        sink.csv("trajectory.csv", {name: records[name] for name in records.dtype.names})
         sink.json("summary.json", _trajectory_summary(traj))
     return 0
 
 
 def _trajectory_summary(traj):
-    last = traj.records[-1]
+    last, final = traj.records[-1], traj.final_state
     return {
         "converged": traj.converged,
         "steps": len(traj.records) if traj.converged else len(traj.records) - 1,
-        "final_state": {
-            "a": [float(v) for v in traj.final_state.a],
-            "b": [float(v) for v in traj.final_state.b],
-        },
-        "target": [float(v) for v in traj.target],
-        "final_norm_a": float(np.linalg.norm(traj.final_state.a)),
-        "final_dist_b": float(np.linalg.norm(traj.final_state.b - traj.target)),
-        "last_record": {"t": int(last["t"]), "norm_a": float(last["norm_a"]),
-                        "dist_b": float(last["dist_b"])},
+        "final_state": {"a": final.a, "b": final.b},
+        "target": traj.target,
+        "final_norm_a": np.linalg.norm(final.a),
+        "final_dist_b": np.linalg.norm(final.b - traj.target),
+        "last_record": {key: last[key] for key in ("t", "norm_a", "dist_b")},
     }
 
 
 def _cmd_run_sample(sink, model, spec, init, stop, resolved):
     data = sample_mixture(model, resolved["n"], resolved["seed"])
     traj = run_sample(init, data, stop, resolved["form"])
-    header, rows = _free_rows(traj)
-    sink.csv("trajectory.csv", header, rows)
+    records = traj.records
+    sink.csv("trajectory.csv", {name: records[name] for name in records.dtype.names})
     summary = _trajectory_summary(traj)
     summary["n"] = resolved["n"]
     summary["form"] = resolved["form"]
     sink.json("summary.json", summary)
     if resolved["write_data"]:
-        path = sink.dir / "data.csv"
-        data.to_csv(path)
-        sink.written.append(path)
+        sink.csv("data.csv", {"y": data.data})
     return 0
 
 
@@ -382,18 +360,16 @@ def _cmd_coupled(sink, model, spec, init, stop, resolved):
     sample_traj, pop_traj, sup = coupled_run(
         init, model, resolved["n"], resolved["T"], resolved["seed"], spec
     )
-    header = ["t", "discrepancy", "pop_norm_a", "pop_dist_b", "pop_p",
-              "samp_norm_a", "samp_dist_b", "samp_p"]
-    fields = ("norm_a", "dist_b", "p")
-    columns = (
-        [sample_traj.records["t"].tolist(), _discrepancies(sample_traj, pop_traj).tolist()]
-        + _columns(pop_traj.records, fields) + _columns(sample_traj.records, fields)
-    )
-    sink.csv("coupled.csv", header, zip(*columns))
+    columns = {"t": sample_traj.records["t"],
+               "discrepancy": _discrepancies(sample_traj, pop_traj)}
+    for prefix, traj in (("pop", pop_traj), ("samp", sample_traj)):
+        columns.update({f"{prefix}_{field}": traj.records[field]
+                        for field in ("norm_a", "dist_b", "p")})
+    sink.csv("coupled.csv", columns)
     sink.json(
         "summary.json",
         {
-            "sup_discrepancy": float(sup),
+            "sup_discrepancy": sup,
             "n": resolved["n"],
             "T": resolved["T"],
             "population": _trajectory_summary(pop_traj),
@@ -407,14 +383,15 @@ def _cmd_landscape(sink, model, spec, init, stop, resolved):
     sl = resolved["slice"]
     tnorm = model.norm_theta
     axis = model.theta_star / tnorm if tnorm > 0.0 else np.eye(model.dim)[0]
-    rows = []
-    for da in np.linspace(sl["a_lo"], sl["a_hi"], sl["a_steps"]):
-        for db in np.linspace(sl["b_lo"], sl["b_hi"], sl["b_steps"]):
-            a = float(da) * axis
-            b = float(db) * axis
-            value = expected_loglik(MeanPair(a - b, a + b), model, spec)
-            rows.append((float(da), float(db), value))
-    sink.csv("landscape.csv", ["a_offset", "b_offset", "G"], rows)
+    a_offsets, b_offsets = (grid.ravel() for grid in np.meshgrid(
+        np.linspace(sl["a_lo"], sl["a_hi"], sl["a_steps"]),
+        np.linspace(sl["b_lo"], sl["b_hi"], sl["b_steps"]), indexing="ij"))
+    values = []
+    for da, db in zip(a_offsets, b_offsets):
+        a = float(da) * axis
+        b = float(db) * axis
+        values.append(expected_loglik(MeanPair(a - b, a + b), model, spec))
+    sink.csv("landscape.csv", {"a_offset": a_offsets, "b_offset": b_offsets, "G": values})
     return 0
 
 
@@ -424,9 +401,8 @@ def _cmd_kernels(sink, model, spec, init, stop, resolved):
         for key, ax in resolved["grid"].items()
     }
     rows = tabulate(axes["x_a"], axes["x_b"], axes["x_theta"], spec)
-    sink.csv(
-        "kernels.csv", ["x_a", "x_b", "x_theta", "P", "Gamma", "S", "F", "K"], rows
-    )
+    names = ("x_a", "x_b", "x_theta", "P", "Gamma", "S", "F", "K")
+    sink.csv("kernels.csv", dict(zip(names, zip(*rows))))
     return 0
 
 
@@ -443,13 +419,13 @@ def _cmd_consistency(sink, model, spec, init, stop, resolved):
     sink.json(
         "consistency.json",
         {
-            "n_ladder": list(result.n_ladder),
-            "sup_discrepancy": list(result.sup_discrepancy),
-            "final_error": list(result.final_error),
+            "n_ladder": result.n_ladder,
+            "sup_discrepancy": result.sup_discrepancy,
+            "final_error": result.final_error,
             # a ladder of fewer than 4 rungs has no rate fit: null, not NaN
             "slope": None if math.isnan(result.slope) else result.slope,
             "trials": result.trials,
-            "seeds": list(result.seeds),
+            "seeds": result.seeds,
         },
     )
     return 0

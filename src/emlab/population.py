@@ -260,14 +260,15 @@ def run_model1(
     theta = np.asarray(theta0, dtype=float)
     if theta.shape != (model.dim,):
         raise ValueError(f"theta0 must have shape ({model.dim},), got {theta.shape}")
-    return _b_iterates(run(ABState(np.zeros(model.dim), theta), model, stop, spec))
+    return _visited(run(ABState(np.zeros(model.dim), theta), model, stop, spec), "b")
 
 
-def _b_iterates(traj: Trajectory) -> np.ndarray:
-    """Every visited b of a run, the final one included (a run that exhausts
-    its budget records its final state already)."""
-    b_rows = traj.records["b"]
-    return np.vstack([b_rows, traj.final_state.b]) if traj.converged else np.array(b_rows)
+def _visited(traj: Trajectory, field: str) -> np.ndarray:
+    """Every visited ``a`` or ``b`` of a run, the final state exactly once (a
+    run that exhausts its budget records its final state already)."""
+    rows = traj.records[field]
+    final = getattr(traj.final_state, field)
+    return np.vstack([rows, final]) if traj.converged else np.array(rows)
 
 
 class APrioriBounds(NamedTuple):

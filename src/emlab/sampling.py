@@ -135,19 +135,6 @@ class Dataset:
         ybar.setflags(write=False)
         return ybar
 
-    def to_csv(self, path) -> None:
-        """Write one row per sample with a '#' metadata preamble."""
-        # repr of the *Python* float round-trips; numpy scalar repr does not
-        theta = ",".join(repr(float(v)) for v in self.model.theta_star)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# seed: {self.seed}\n")
-            fh.write(f"# n: {self.n}\n")
-            fh.write(f"# d: {self.dim}\n")
-            fh.write(f"# theta_star: [{theta}]\n")
-            fh.write(",".join(f"y{j}" for j in range(self.dim)) + "\n")
-            for row in self.data:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
 
 def _fresh(n: int, d: int) -> np.ndarray:
     """Storage for an n x d draw.  From 4 MB up it is a private anonymous

@@ -9,7 +9,8 @@ the whole gate takes about half a minute.
 import numpy as np
 import pytest
 
-from emlab import acceptance
+from emlab import ABState, MixtureModel, StopRule, acceptance, run
+from emlab.population import _visited
 
 
 def _check(number):
@@ -109,3 +110,18 @@ def test_criterion_1_lists_failures_in_grid_then_check_order(monkeypatch):
         "P>S>=0 fails at (0.0, 0.15789473684210525, 0.0)",
         "Gamma/(2P) bound fails at (0.0, 0.15789473684210525, 0.0)",
     ]
+
+
+@pytest.mark.parametrize("stop, extra", [(StopRule(5, 0.0), 0), (StopRule(500, 1e-10), 1)])
+def test_series_counts_the_final_state_once(stop, extra):
+    """A run that exhausts its budget records its final state already; a
+    converged run's final state follows its last record."""
+    model = MixtureModel(2, [1.0, 0.3])
+    traj = run(ABState([0.1, 0.0], [0.4, 0.1]), model, stop)
+    assert traj.converged == bool(extra)
+    for series in acceptance._series(traj, model):
+        assert len(series) == len(traj.records) + extra
+    for field in ("a", "b"):
+        visited = _visited(traj, field)
+        assert len(visited) == len(traj.records) + extra
+        np.testing.assert_array_equal(visited[-1], getattr(traj.final_state, field))

@@ -300,6 +300,22 @@ class TestSchema:
             assert len(rows) > 1
             assert all(cell for row in rows for cell in row), path.name
 
+    @pytest.mark.parametrize("command, config", [
+        *_SMALL.items(), ("run-sample", dict(_SMALL["run-sample"], write_data=True)),
+    ])
+    def test_every_csv_is_stamped(self, tmp_path, command, config):
+        out = tmp_path / "out"
+        assert main([command, "--config", _write_config(tmp_path, config),
+                     "--out", str(out)]) == 0
+        stamps = {json.loads(path.read_text())["config_hash"] for path in out.glob("*.json")}
+        for path in out.glob("*.csv"):
+            lines = path.read_text().splitlines()
+            assert lines[0] == f"# artifact_version: {emlab.__version__}", path.name
+            assert lines[1].startswith("# config_hash: "), path.name
+            assert lines[2].startswith("# config: {"), path.name
+            stamps.add(lines[1].removeprefix("# config_hash: "))
+        assert stamps == {config_hash(resolve_config(config, command)[0])}
+
 
 class TestMainKernels:
     config = {
@@ -471,11 +487,26 @@ class TestMainRunners:
         assert main(["run-sample", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert lines[3] == "t,a_0,a_1,b_0,b_1,p,beta,sin_beta,norm_a,dist_b"
-        data = np.loadtxt(out / "data.csv", delimiter=",", skiprows=5)
-        assert data.shape == (50, 2)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n"] == 50
         assert summary["form"] == "ab"
+        lines = (out / "data.csv").read_text().splitlines()
+        assert lines[0] == f"# artifact_version: {emlab.__version__}"
+        assert lines[1] == f"# config_hash: {summary['config_hash']}"
+        assert json.loads(lines[2].removeprefix("# config: ")) == summary["config"]
+        assert lines[3] == "y_0,y_1"
+        data = np.loadtxt(out / "data.csv", delimiter=",", skiprows=4)
+        model = emlab.MixtureModel(2, [1.0, 0.0])
+        assert data.tobytes() == emlab.sample_mixture(model, 50, 4).data.tobytes()
+
+    def test_data_csv_round_trips_the_draw(self, tmp_path):
+        cfg = _write_config(tmp_path, {"model": {"theta_star": [1.0, -0.5]}, "n": 7,
+                                       "seed": 42, "write_data": True})
+        out = tmp_path / "out"
+        assert main(["run-sample", "--config", cfg, "--out", str(out)]) == 0
+        parsed = np.loadtxt(out / "data.csv", delimiter=",", skiprows=4)
+        model = emlab.MixtureModel(2, [1.0, -0.5])
+        np.testing.assert_array_equal(parsed, emlab.sample_mixture(model, 7, 42).data)
 
     def test_landscape_row_count(self, tmp_path):
         cfg = _write_config(

@@ -261,19 +261,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             data.data[0, 0] = 9.9
 
-    def test_to_csv_round_trip(self, tmp_path):
-        data = sample_mixture(MODEL_2D, 7, 42)
-        path = tmp_path / "sample.csv"
-        data.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# seed: 42"
-        assert lines[1] == "# n: 7"
-        assert lines[2] == "# d: 2"
-        assert lines[3].startswith("# theta_star: [")
-        assert lines[4] == "y0,y1"
-        parsed = np.loadtxt(path, delimiter=",", skiprows=5)
-        np.testing.assert_array_equal(parsed, data.data)
-
 
 class TestRunSample:
     def test_record_semantics_match_population_runner(self):
