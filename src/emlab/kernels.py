@@ -38,6 +38,10 @@ array pass, and each lobe sum is its own BLAS dot over the node axis, so a
 point's values equal its one-point call bit for bit, however the points are
 split between calls.  The N/2N self-check runs per point on the kernel's
 own values, and NonConvergence names every coordinate of the worst point.
+A call whose points are all 0-d (floats, numpy scalars, 0-d arrays) runs
+the same core, combining code and self-check on Python floats (the core's
+sums come back through .tolist()), so a one-point call, one per population
+step, carries no array set-up beyond the node block.
 
 The kernel_* functions accept any finite real x_a / x_theta: the integrals
 are well defined there, and the planar reduction of the population step
@@ -83,27 +87,36 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _CHUNK = 64
 
 
-def _points(*values) -> list[np.ndarray]:
-    """The arguments as float arrays of one broadcast shape."""
+def _points(*values) -> tuple | list:
+    """The arguments as floats when all are 0-d, else as float arrays of one
+    broadcast shape."""
+    if all(isinstance(v, float) for v in values):
+        return values
     points = [np.asarray(v, dtype=float) for v in values]
-    return np.broadcast_arrays(*points) if any(p.ndim for p in points) else points
+    if not any(p.ndim for p in points):
+        return [float(p) for p in points]
+    # a chunk of equal-length arrays, the common case, needs no broadcast
+    return points if len({p.shape for p in points}) == 1 else np.broadcast_arrays(*points)
 
 
-def _tanh_sums(x_a, x_b, centers: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
-    """sums[r, k, lobe]: rule r (N, 2N) of t = tanh((y - x_a) x_b) (k = 0)
+def _tanh_sums(x_a, x_b, centers: np.ndarray, spec: QuadratureSpec):
+    """sums[r][k][lobe]: rule r (N, 2N) of t = tanh((y - x_a) x_b) (k = 0)
     and of t * y (k = 1) against the lobe phi(y - c) at each of ``centers``
-    (lobes stacked along axis 0, each of the point shape)."""
+    (lobes stacked along axis 0, each of the point shape): an array, or
+    nested Python floats when the points are 0-d (``centers`` is 1-D)."""
     nodes, w_n, w_2n = _gh_pair(spec.nodes_per_lobe)
     # block = (t, t * y) on the nodes y of both rules, built in place so a
     # chunk of points holds no temporaries
     block = np.empty((2,) + centers.shape + nodes.shape)
     t, ty = block
     np.add(centers[..., None], nodes, out=ty)
-    np.subtract(ty, np.asarray(x_a)[..., None], out=t)
-    t *= x_b[..., None]
+    # point arrays broadcast along the node axis; floats need no axis
+    np.subtract(ty, x_a[..., None] if isinstance(x_a, np.ndarray) else x_a, out=t)
+    t *= x_b[..., None] if isinstance(x_b, np.ndarray) else x_b
     np.tanh(t, out=t)
     ty *= t
-    return _two_rules(block, w_n, w_2n)
+    sums = _two_rules(block, w_n, w_2n)
+    return sums.tolist() if centers.ndim == 1 else sums
 
 
 def kernel_pgs(x_a, x_b, x_theta, spec: QuadratureSpec = DEFAULT_SPEC) -> tuple:
@@ -113,15 +126,11 @@ def kernel_pgs(x_a, x_b, x_theta, spec: QuadratureSpec = DEFAULT_SPEC) -> tuple:
     at small x_b."""
     x_a, x_b, x_t = _points(x_a, x_b, x_theta)
     centers = np.array((x_t, -x_t) if np.count_nonzero(x_t) else (x_t,))
-    sums = _tanh_sums(x_a, x_b, centers, spec)
-    plus, minus = sums[:, :, 0], sums[:, :, -1]
-    # values[r] = (P, Gamma, S) under rule r
-    values = np.empty((2, 3) + x_t.shape)
-    np.add(plus, minus, out=values[:, :2])
-    np.subtract(plus[:, 0], minus[:, 0], out=values[:, 2])
-    values *= 0.25
-    values[:, 0] += 0.5
-    coarse, fine = values
+    # (P, Gamma, S) under each rule from its lobe sums (T0, T1) at (+x_t, -x_t)
+    coarse, fine = (
+        [0.25 * (t0[0] + t0[-1]) + 0.5, 0.25 * (t1[0] + t1[-1]), 0.25 * (t0[0] - t0[-1])]
+        for t0, t1 in _tanh_sums(x_a, x_b, centers, spec)
+    )
     points = {"x_a": x_a, "x_b": x_b, "x_theta": x_t}
     return tuple(_self_checked(coarse, fine, "(P, Gamma, S) quadrature", points, spec))
 
@@ -144,21 +153,22 @@ def kernel_s(x_a, x_b, x_theta, spec: QuadratureSpec = DEFAULT_SPEC):
 def kernel_r(x_b, x, spec: QuadratureSpec = DEFAULT_SPEC):
     """0.5 * int w(y - x, x_b) * y * phi(y) dy = T1(x, x_b, 0)/4; even in x, 0.0 at x_b == 0."""
     x_b, x = _points(x_b, x)
-    coarse, fine = 0.25 * _tanh_sums(x, x_b, np.zeros((1,) + x.shape), spec)[:, 1, 0]
+    sums = _tanh_sums(x, x_b, np.zeros((1,) + np.shape(x)), spec)
+    coarse, fine = (0.25 * t1[0] for _, t1 in sums)
     return _self_checked(coarse, fine, "R quadrature", {"x_b": x_b, "x": x}, spec)
 
 
 def kernel_f(x_b, x_theta, spec: QuadratureSpec = DEFAULT_SPEC):
     """int tanh(u x_b) u phi(u - x_theta) du = T1(0, x_b, x_theta); exactly 0.0 at x_b == 0."""
     x_b, x_t = _points(x_b, x_theta)
-    coarse, fine = _tanh_sums(0.0, x_b, x_t[None], spec)[:, 1, 0]
+    coarse, fine = (t1[0] for _, t1 in _tanh_sums(0.0, x_b, np.array((x_t,)), spec))
     return _self_checked(coarse, fine, "F quadrature", {"x_b": x_b, "x_theta": x_t}, spec)
 
 
 def kernel_k(x, x_b, spec: QuadratureSpec = DEFAULT_SPEC):
     """int 0.5 * tanh(y * x_b) * phi(y - x) dy = T0(0, x_b, x)/2; exactly 0.0 at x_b == 0."""
     x, x_b = _points(x, x_b)
-    coarse, fine = 0.5 * _tanh_sums(0.0, x_b, x[None], spec)[:, 0, 0]
+    coarse, fine = (0.5 * t0[0] for t0, _ in _tanh_sums(0.0, x_b, np.array((x,)), spec))
     return _self_checked(coarse, fine, "K quadrature", {"x": x, "x_b": x_b}, spec)
 
 

@@ -152,18 +152,25 @@ def _lobe_sums(f: Callable, centers: np.ndarray, spec: QuadratureSpec) -> np.nda
     return _two_rules(f(centers[..., None] + y), w_n, w_2n)
 
 
-def _self_checked(
-    coarse: np.ndarray, fine: np.ndarray, what: str, points: dict, spec: QuadratureSpec
-):
+def _self_checked(coarse, fine, what: str, points: dict, spec: QuadratureSpec):
     """``fine``, the 2N-node values, after checking them against ``coarse``,
     the N-node ones.  Both hold any number of values per point, stacked in
-    front of the shape of the point arrays in ``points`` (name -> array); 0-d
-    points give Python floats (a float, or a list of one per value).  On
-    failure the message names the point with the largest gap, or the first
-    point whose gap is NaN: a NaN gap has not settled."""
+    front of the shape of the point arrays in ``points`` (name -> value);
+    0-d point arrays give Python floats (a float, or a list of one per
+    value).  Values that are already Python floats (0-d points given as
+    floats) are checked as floats and come back as they went in.  On failure
+    the message names the point with the largest gap, or the first point
+    whose gap is NaN: a NaN gap has not settled."""
+    pairs = list(zip(fine, coarse)) if type(fine) is list else [(fine, coarse)]
+    if type(pairs[0][0]) is float:
+        # one <= per value, so a NaN gap fails (max() would skip it)
+        if all(abs(f - c) <= spec.abs_tol for f, c in pairs):
+            return fine
+        points = {name: np.asarray(value) for name, value in points.items()}
+    coarse, fine = np.asarray(coarse), np.asarray(fine)
     shape = next(iter(points.values())).shape
     gap = np.abs(fine - coarse)
-    if not np.all(gap <= spec.abs_tol):
+    if not (gap <= spec.abs_tol).all():
         gap = np.max(gap.reshape((-1,) + shape), axis=0)
         worst = np.unravel_index(np.argmax(gap), shape)
         where = ", ".join(f"{name} {float(value[worst])!r}" for name, value in points.items())

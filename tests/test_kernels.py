@@ -8,6 +8,7 @@ alive for one pinned case.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,106 @@ class TestBatches:
             kernel_pgs(x_a[i], x_b[i], x_t[i], rough)
         with pytest.raises(NonConvergence, match="at x_a 0.3, x_b 8.0, x_theta 1.0 did not settle"):
             kernel_pgs(x_a, x_b, x_t, rough)
+
+
+# (x_a, x_b, x_theta) points for the one-point contract: the exact cases
+# (x_theta = +-0.0, x_b = 0, a subnormal x_b), ordinary points, and points
+# whose self-check fails for some kernels (x_b = 4 near the lobe, x_b = 8,
+# x_theta = inf, a NaN)
+ONE_POINTS = [
+    (0.3, 1.2, 0.8), (0.0, 1.0, 0.0), (0.5, 2.0, -0.0), (0.7, 0.0, 0.9),
+    (-1.3, 0.3, -1.1), (2.2, 0.05, 1.5), (-4.0, 1e-310, 2.0), (0.0, 2.5, -3.0),
+    (3.5, 4.0, 4.0), (0.0, 8.0, 0.0), (0.5, 1.0, math.inf), (math.nan, 1.0, 1.0),
+]
+# each kernel with its arguments at a point (x_a, x_b, x_theta)
+KERNEL_ARGS = {
+    "pgs": (kernel_pgs, lambda a, b, t: (a, b, t)),
+    "F": (kernel_f, lambda a, b, t: (b, t)),
+    "K": (kernel_k, lambda a, b, t: (a, b)),
+    "R": (kernel_r, lambda a, b, t: (b, a)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestOnePoint:
+    """A call whose points are all 0-d (floats, numpy scalars or 0-d arrays)
+    gives Python floats, each equal bit for bit to the point's entry in a
+    batched call; where one path raises NonConvergence, so does the other."""
+
+    @pytest.mark.parametrize("zero_d", [float, np.float64, np.array])
+    @pytest.mark.parametrize("name", KERNEL_ARGS)
+    def test_zero_d_points_give_floats_equal_to_the_batch(self, name, zero_d):
+        kernel, args = KERNEL_ARGS[name]
+        settled, unsettled = [], []
+        for point in ONE_POINTS:
+            try:
+                got = kernel(*(zero_d(v) for v in args(*point)))
+            except NonConvergence:
+                unsettled.append(args(*point))
+                continue
+            values = got if name == "pgs" else (got,)
+            assert all(type(v) is float for v in values)
+            settled.append((args(*point), values))
+        assert settled and unsettled
+        batch = kernel(*(np.array(axis) for axis in zip(*(a for a, _ in settled))))
+        one_point = np.array([values for _, values in settled]).T
+        assert np.reshape(batch, one_point.shape).tobytes() == one_point.tobytes()
+        # an unsettled point fails its batch too, whatever settles around it
+        for point in unsettled:
+            with pytest.raises(NonConvergence):
+                kernel(*(np.array([v, w]) for v, w in zip(settled[0][0], point)))
+
+    # every coordinate by name, with its argument position in each kernel
+    COORDS = [
+        ("pgs", 0, "x_a"), ("pgs", 1, "x_b"), ("pgs", 2, "x_theta"),
+        ("F", 0, "x_b"), ("F", 1, "x_theta"),
+        ("K", 0, "x"), ("K", 1, "x_b"),
+        ("R", 0, "x_b"), ("R", 1, "x"),
+    ]
+
+    @pytest.mark.parametrize("name, pos, coord", COORDS)
+    def test_a_nan_coordinate_fails_and_is_named(self, name, pos, coord):
+        kernel, args = KERNEL_ARGS[name]
+        point = list(args(0.5, 1.0, 1.0))
+        point[pos] = math.nan
+        with pytest.raises(NonConvergence, match=rf"\b{coord} nan\b.* = nan > "):
+            kernel(*point)
+
+    @pytest.mark.parametrize(
+        "name, pos, coord",
+        [c for c in COORDS if c[2] in ("x_b", "x_theta")],
+    )
+    @pytest.mark.parametrize("inf", [math.inf, -math.inf])
+    def test_an_infinite_scale_or_centre_fails_and_is_named(self, name, pos, coord, inf):
+        kernel, args = KERNEL_ARGS[name]
+        point = list(args(0.5, 1.0, 1.0))
+        point[pos] = inf
+        with pytest.raises(NonConvergence, match=rf"\b{coord} {inf!r}\b"):
+            kernel(*point)
+
+    def test_an_infinite_offset_is_the_exact_limit(self):
+        """At x_a = +-inf the weight is 0 or 1 on every node, so both rules
+        agree: that is the limit of the integral, not a failure."""
+        assert kernel_pgs(math.inf, 1.0, 1.0) == (0.0, 0.0, 0.0)
+        assert kernel_pgs(-math.inf, 1.0, 1.0) == (1.0, 0.0, 0.0)
+        assert kernel_k(math.inf, 1.0) == 0.5
+
+    def test_a_nan_gap_among_settled_values_fails(self):
+        """At x_theta = inf the gaps of P and S are 0 and only Gamma's is
+        NaN; the largest gap by max() would be 0 and pass."""
+        with pytest.raises(
+            NonConvergence,
+            match=re.escape("at x_a 0.5, x_b 1.0, x_theta inf did not settle: |I_2N - I_N| = nan"),
+        ):
+            kernel_pgs(0.5, 1.0, math.inf)
+
+    def test_the_near_lobe_failure_message_is_pinned(self):
+        with pytest.raises(NonConvergence) as failure:
+            kernel_pgs(3.5, 4.0, 4.0)
+        assert str(failure.value) == (
+            "(P, Gamma, S) quadrature at x_a 3.5, x_b 4.0, x_theta 4.0 did not settle: "
+            "|I_2N - I_N| = 6.658e-09 > 1.000e-10"
+        )
 
 
 class TestOneCore:
