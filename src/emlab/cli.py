@@ -383,14 +383,19 @@ def _cmd_landscape(sink, model, spec, init, stop, resolved):
     sl = resolved["slice"]
     tnorm = model.norm_theta
     axis = model.theta_star / tnorm if tnorm > 0.0 else np.eye(model.dim)[0]
-    a_offsets, b_offsets = (grid.ravel() for grid in np.meshgrid(
-        np.linspace(sl["a_lo"], sl["a_hi"], sl["a_steps"]),
-        np.linspace(sl["b_lo"], sl["b_hi"], sl["b_steps"]), indexing="ij"))
-    values = []
-    for da, db in zip(a_offsets, b_offsets):
-        a = float(da) * axis
-        b = float(db) * axis
-        values.append(expected_loglik(MeanPair(a - b, a + b), model, spec))
+    # every cell's means in one array each, checked once; an overflow, in the
+    # axes or in a -/+ b, leaves a non-finite mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_offsets, b_offsets = (grid.ravel() for grid in np.meshgrid(
+            np.linspace(sl["a_lo"], sl["a_hi"], sl["a_steps"]),
+            np.linspace(sl["b_lo"], sl["b_hi"], sl["b_steps"]), indexing="ij"))
+        a, b = a_offsets[:, None] * axis, b_offsets[:, None] * axis
+        mu1, mu2 = a - b, a + b
+    if not (np.isfinite(mu1).all() and np.isfinite(mu2).all()):
+        raise ConfigError("slice", "the means a - b and a + b of every cell must be finite")
+    mu1.flags.writeable = mu2.flags.writeable = False
+    values = [expected_loglik(MeanPair._checked(row1, row2), model, spec)
+              for row1, row2 in zip(mu1, mu2)]
     sink.csv("landscape.csv", {"a_offset": a_offsets, "b_offset": b_offsets, "G": values})
     return 0
 

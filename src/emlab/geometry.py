@@ -28,7 +28,7 @@ hyperplane property bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +42,7 @@ def _as_vector(value, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a 1-d vector, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
@@ -61,10 +61,12 @@ def _init_pair(container, **pair) -> None:
 
 @dataclass(frozen=True, eq=False)
 class MixtureModel:
-    """Ground truth: dimension and the true half-separation vector."""
+    """Ground truth: dimension and the true half-separation vector, with its
+    norm computed once."""
 
     dim: int
     theta_star: np.ndarray
+    norm_theta: float = field(init=False)
 
     def __init__(self, dim: int, theta_star) -> None:
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
@@ -76,10 +78,7 @@ class MixtureModel:
             )
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "theta_star", vec)
-
-    @property
-    def norm_theta(self) -> float:
-        return float(np.linalg.norm(self.theta_star))
+        object.__setattr__(self, "norm_theta", _norm(vec))
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +90,15 @@ class MeanPair:
 
     def __init__(self, mu1, mu2) -> None:
         _init_pair(self, mu1=mu1, mu2=mu2)
+
+    @classmethod
+    def _checked(cls, mu1: np.ndarray, mu2: np.ndarray) -> MeanPair:
+        """A pair over two read-only, finite 1-d float vectors of one length
+        that the caller has already checked, taken as they are."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "mu1", mu1)
+        object.__setattr__(pair, "mu2", mu2)
+        return pair
 
 
 @dataclass(frozen=True, eq=False)

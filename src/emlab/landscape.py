@@ -42,6 +42,7 @@ from .population import model2_step
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_against_mixture
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_LOG_2 = math.log(2.0)
 _GRAD_TOL = 1e-6
 _EIG_TOL = 1e-6
 _HESS_STEP = 1e-4
@@ -65,9 +66,16 @@ class StationaryReport:
 
 
 def _log_cosh(z: np.ndarray) -> np.ndarray:
-    # |z| + log1p(exp(-2|z|)) keeps the tail linear instead of overflowing cosh.
-    abs_z = np.abs(z)
-    return abs_z + np.log1p(np.exp(-2.0 * abs_z)) - math.log(2.0)
+    """log cosh(z) as |z| + log1p(exp(-2|z|)) - log 2, which keeps the tail
+    linear instead of overflowing cosh; computed in place: z is overwritten
+    and returned."""
+    np.abs(z, out=z)
+    tail = np.multiply(z, -2.0)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    z += tail
+    z -= _LOG_2
+    return z
 
 
 def expected_loglik(
@@ -87,10 +95,13 @@ def expected_loglik(
         return quad_part
     x_a = float(np.dot(a, b)) / norm_b
     t1 = float((b / norm_b) @ model.theta_star)
-    cosh_part = integrate_against_mixture(
-        lambda y: _log_cosh(norm_b * (y - x_a)), t1, spec
-    )
-    return quad_part + cosh_part
+
+    def log_cosh(y):  # on the integrator's node block, in place
+        y -= x_a
+        y *= norm_b
+        return _log_cosh(y)
+
+    return quad_part + integrate_against_mixture(log_cosh, t1, spec)
 
 
 def grad_G(

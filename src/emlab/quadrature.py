@@ -35,7 +35,9 @@ point at once (the block c[..., None] + y), so it must act elementwise and
 broadcast any per-point parameter as p[..., None].  Each point's sum under
 each rule is its own BLAS dot over the node axis (np.vecdot), so a point's
 value does not depend on which other points share its call.  The self-check
-runs per point, and NonConvergence names the worst one.
+runs per point, and NonConvergence names the worst one.  A 0-d x_theta of a
+mixture integral (a float, a numpy scalar or a 0-d array) runs the same node
+pass, then combines the lobe sums and checks them as Python floats.
 """
 
 from __future__ import annotations
@@ -147,7 +149,8 @@ def _two_rules(values: np.ndarray, w_n: np.ndarray, w_2n: np.ndarray) -> np.ndar
 def _lobe_sums(f: Callable, centers: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
     """sum_i w_i f(c + y_i) for each center c under the N- and 2N-node rules
     (stacked along axis 0), from one call of f; one BLAS dot per center and
-    rule."""
+    rule.  The node block f gets is allocated for that call alone, so f may
+    overwrite it and return it."""
     y, w_n, w_2n = _gh_pair(spec.nodes_per_lobe)
     return _two_rules(f(centers[..., None] + y), w_n, w_2n)
 
@@ -169,7 +172,8 @@ def _self_checked(coarse, fine, what: str, points: dict, spec: QuadratureSpec):
         points = {name: np.asarray(value) for name, value in points.items()}
     coarse, fine = np.asarray(coarse), np.asarray(fine)
     shape = next(iter(points.values())).shape
-    gap = np.abs(fine - coarse)
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN gap, which fails below
+        gap = np.abs(fine - coarse)
     if not (gap <= spec.abs_tol).all():
         gap = np.max(gap.reshape((-1,) + shape), axis=0)
         worst = np.unravel_index(np.argmax(gap), shape)
@@ -189,10 +193,15 @@ def integrate_against_gaussian(f: Callable, center, spec: QuadratureSpec = DEFAU
 
 
 def _mixture(f: Callable, x_theta, sign: float, what: str, spec: QuadratureSpec):
-    """0.5 * (lobe at +x_theta + sign * lobe at -x_theta), both lobes in one pass."""
+    """0.5 * (lobe at +x_theta + sign * lobe at -x_theta), both lobes in one
+    pass.  A 0-d x_theta combines its four lobe sums as Python floats, with
+    the arithmetic of the array path."""
     x_t = np.asarray(x_theta, dtype=float)
-    sums = _lobe_sums(f, np.array((x_t, -x_t)), spec)
-    coarse, fine = 0.5 * (sums[:, 0] + sign * sums[:, 1])
+    if not x_t.ndim:
+        x_t = float(x_t)
+    sums = _lobe_sums(f, np.array((x_t, -x_t)), spec)  # [rule, lobe, point...]
+    coarse, fine = (0.5 * (plus + sign * minus)
+                    for plus, minus in (sums if sums.ndim > 2 else sums.tolist()))
     return _self_checked(coarse, fine, what, {"x_theta": x_t}, spec)
 
 

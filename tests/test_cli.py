@@ -522,6 +522,27 @@ class TestMainRunners:
         rows = (out / "landscape.csv").read_text().splitlines()[4:]
         assert len(rows) == 15
 
+    @pytest.mark.parametrize("theta", [[1.3], [0.8, -0.4, 1.1, 0.2], [0.0, 0.0]])
+    def test_landscape_cells_are_expected_loglik_of_their_means(self, tmp_path, theta):
+        """Each cell's G is the repr of expected_loglik on its validated
+        means a - b, a + b, with a and b its offsets along theta*/|theta*|
+        (e1 at theta* = 0); the slice holds the b = 0 column."""
+        cfg = _write_config(tmp_path, {
+            "model": {"theta_star": theta},
+            "slice": {"a_lo": -0.9, "a_hi": 1.2, "a_steps": 4,
+                      "b_lo": -1.0, "b_hi": 1.0, "b_steps": 5},
+        })
+        out = tmp_path / "out"
+        assert main(["landscape", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "landscape.csv").read_text().splitlines()[4:]]
+        model = emlab.MixtureModel(len(theta), theta)
+        norm = np.linalg.norm(model.theta_star)
+        axis = model.theta_star / norm if norm > 0.0 else np.eye(len(theta))[0]
+        assert len(rows) == 20 and sum(float(b) == 0.0 for _, b, _ in rows) == 4
+        for a_offset, b_offset, value in rows:
+            a, b = float(a_offset) * axis, float(b_offset) * axis
+            assert value == repr(emlab.expected_loglik(emlab.MeanPair(a - b, a + b), model))
+
     def test_consistency_artifact(self, tmp_path):
         cfg = _write_config(
             tmp_path,
@@ -656,6 +677,18 @@ class TestMainErrors:
         assert main(["run-sample", "--config", cfg, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical error: DegenerateWeights: ")
+        assert err.count("\n") == 1
+        assert not any(out.iterdir())
+
+    def test_overflowing_slice_exits_2(self, tmp_path, capsys):
+        """a - b overflows on a slice of +-1e308 offsets: one config error
+        naming the slice, no traceback, no artifact."""
+        cfg = _write_config(tmp_path, {"slice": {
+            "a_lo": -1e308, "a_hi": 1e308, "b_lo": -1e308, "b_hi": 1e308}})
+        out = tmp_path / "o"
+        assert main(["landscape", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: slice: ")
         assert err.count("\n") == 1
         assert not any(out.iterdir())
 

@@ -199,11 +199,12 @@ KERNEL_ARGS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOnePoint:
     """A call whose points are all 0-d (floats, numpy scalars or 0-d arrays)
     gives Python floats, each equal bit for bit to the point's entry in a
-    batched call; where one path raises NonConvergence, so does the other."""
+    batched call; where one path raises NonConvergence, so does the other,
+    with no numpy warning before the error."""
 
     @pytest.mark.parametrize("zero_d", [float, np.float64, np.array])
     @pytest.mark.parametrize("name", KERNEL_ARGS)

@@ -129,6 +129,36 @@ class TestMixtureMoments:
         assert integrate_against_mixture(lambda y: y * y, 1.0) == pytest.approx(2.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("integrate", [integrate_against_mixture, integrate_against_mixture_diff])
+class TestMixtureOnePoint:
+    """A 0-d x_theta gives a Python float, equal bit for bit to its entry in
+    a 1-D batch; a NaN or infinite one fails, naming x_theta, with no numpy
+    warning before the error."""
+
+    CENTRES = [-2.5, -0.0, 0.0, 0.4, 1.7, 3.0]
+
+    @staticmethod
+    def f(y):
+        return np.tanh(0.7 * (y - 0.3)) * y
+
+    @pytest.mark.parametrize("zero_d", [float, np.float64, np.array])
+    def test_zero_d_centre_gives_the_batch_entry_as_a_float(self, integrate, zero_d):
+        batch = integrate(self.f, np.array(self.CENTRES))
+        one_point = [integrate(self.f, zero_d(c)) for c in self.CENTRES]
+        assert all(type(v) is float for v in one_point)
+        assert np.array(one_point).tobytes() == batch.tobytes()
+
+    def test_the_integrand_may_overwrite_its_nodes(self, integrate):
+        in_place = integrate(lambda y: np.multiply(y, y, out=y), 1.2)
+        assert in_place == integrate(lambda y: y * y, 1.2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("centre", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_centre_fails_and_is_named(self, integrate, centre):
+        with pytest.raises(NonConvergence, match=rf"at x_theta {centre!r} did not settle"):
+            integrate(lambda y: y * y, centre)
+
+
 class TestMixtureDifference:
     def test_mass_cancels(self):
         assert integrate_against_mixture_diff(lambda y: np.ones_like(y), 1.1) == pytest.approx(0.0, abs=1e-13)
