@@ -8,10 +8,9 @@ CriterionResult.  The `verify` CLI subcommand and the acceptance test module
 both go through ``run_one``, so a terminal table and the test run can never
 disagree.
 
-Criterion 1 runs every kernel over its flattened grid in chunks of points
-(``kernels._chunked``), bitwise equal to one-point calls.  Shared heavy
-artifacts (the fifty free-means trajectories behind criteria 5-7) are
-computed once per process and cached.
+Criterion 1 runs every kernel in one call over its flattened grid, bitwise
+equal to one-point calls.  Shared heavy artifacts (the fifty free-means
+trajectories behind criteria 5-7) are computed once per process and cached.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .geometry import ABState, MeanPair, MixtureModel, from_ab, state_distance, 
 from .harness import concentration_check, consistency_ladder, contraction_estimate
 from .kernels import (
     SQRT_2_OVER_PI,
-    _chunked,
     eval_aux_bounds,
     kernel_f,
     kernel_k,
@@ -47,7 +45,7 @@ from .population import (
     run,
     run_model1,
 )
-from .quadrature import DEFAULT_SPEC, std_normal_cdf
+from .quadrature import std_normal_cdf
 from .sampling import model2_step_ab, model2_step_mu, sample_mixture
 
 _GRID = np.linspace(0.0, 3.0, 20)
@@ -72,15 +70,15 @@ def _max_gap(x: ABState, y: ABState) -> float:
 
 def criterion_1() -> tuple[bool, str]:
     """Kernel identities and inequalities on the 20^3 grid of [0,3]^3, each
-    kernel run over the flattened grid in chunks of points."""
+    kernel run in one call over the flattened grid."""
     tol = 1e-9
     xa, xb, xt = (v.ravel() for v in np.meshgrid(_GRID, _GRID, _GRID, indexing="ij"))
-    p, g, s = _chunked(kernel_pgs, DEFAULT_SPEC, xa, xb, xt)
+    p, g, s = kernel_pgs(xa, xb, xt)
     at0 = xa == 0.0
-    r_minus, r_plus = (_chunked(kernel_r, DEFAULT_SPEC, xb, x) for x in (xa - xt, xa + xt))
-    k_plus, k_minus = (_chunked(kernel_k, DEFAULT_SPEC, x, xb) for x in (xt + xa, xt - xa))
+    r_minus, r_plus = (kernel_r(xb, x) for x in (xa - xt, xa + xt))
+    k_plus, k_minus = (kernel_k(x, xb) for x in (xt + xa, xt - xa))
     residuals = (
-        g[at0] - 0.5 * _chunked(kernel_f, DEFAULT_SPEC, xb[at0], xt[at0]),
+        g[at0] - 0.5 * kernel_f(xb[at0], xt[at0]),
         g - (xt * s + r_minus + r_plus),
         (1.0 - 2.0 * p) - (k_plus - k_minus),
     )

@@ -199,10 +199,15 @@ def _model(section):
             if len(row) != d:
                 raise ConfigError(f"model.sigma[{i}]", f"expected length {d}, got {len(row)}")
         try:
-            theta = list(whiten(np.array(theta), np.array(sigma)))
+            with np.errstate(over="ignore"):  # an overflowing theta* is refused below
+                theta = list(whiten(np.array(theta), np.array(sigma)))
         except NotPositiveDefinite as exc:
             raise ConfigError("model.sigma", str(exc)) from None
-    return {"d": d, "theta_star": [float(v) for v in theta]}, MixtureModel(d, theta)
+    try:
+        model = MixtureModel(d, theta)
+    except ValueError as exc:
+        raise ConfigError("model.theta_star", str(exc)) from None
+    return {"d": d, "theta_star": [float(v) for v in theta]}, model
 
 
 def _start(section, model, family):

@@ -76,9 +76,13 @@ class MixtureModel:
             raise DimensionMismatch(
                 f"theta_star has length {vec.size}, expected dim={dim}"
             )
+        with np.errstate(over="ignore"):  # an overflowing v.v is refused below
+            norm = _norm(vec)
+        if not math.isfinite(norm):
+            raise ValueError("theta_star's norm must be finite")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "theta_star", vec)
-        object.__setattr__(self, "norm_theta", _norm(vec))
+        object.__setattr__(self, "norm_theta", norm)
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,17 +31,17 @@ lobes in one pass (kernel_p, kernel_gamma and kernel_s are views of it); at
 x_theta == +-0.0 the lobes are one (+-0.0 + nodes is the same array), so a
 call whose every x_theta is +-0.0 sums it once.
 
-Every kernel takes floats or 1-D arrays of points (broadcast against each
-other): floats in give floats out, arrays in give one array per value.
-Both lobes of every point under both rules (N and 2N nodes) go through one
-array pass, and each lobe sum is its own BLAS dot over the node axis, so a
-point's values equal its one-point call bit for bit, however the points are
-split between calls.  The N/2N self-check runs per point on the kernel's
-own values, and NonConvergence names every coordinate of the worst point.
-A call whose points are all 0-d (floats, numpy scalars, 0-d arrays) runs
-the same core, combining code and self-check on Python floats (the core's
-sums come back through .tolist()), so a one-point call, one per population
-step, carries no array set-up beyond the node block.
+Every kernel takes floats or 1-D arrays of points of any length (broadcast
+against each other by quadrature._points): floats in give floats out, arrays
+in give one array per value.  The core hands quadrature._lobe_sums the
+block (t, t * y) on both lobes of every point under both rules (N and 2N
+nodes), _CHUNK points per block, so a call's memory does not grow with its
+length.  Each lobe sum is its own BLAS dot, so a point's values equal its
+one-point call bit for bit, however the points are split.  The N/2N
+self-check runs per point over the whole call, and NonConvergence names
+every coordinate of the worst point.  A call whose points are all 0-d runs
+the core on Python floats, so a one-point call, one per population step,
+carries no array set-up beyond the node block.
 
 The kernel_* functions accept any finite real x_a / x_theta: the integrals
 are well defined there, and the planar reduction of the population step
@@ -71,9 +71,9 @@ from .errors import DomainError
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
-    _gh_pair,
+    _lobe_sums,
+    _points,
     _self_checked,
-    _two_rules,
     std_normal_cdf,
     std_normal_pdf,
 )
@@ -82,31 +82,14 @@ from .quadrature import (integrate_against_gaussian, integrate_against_mixture, 
                          integrate_against_mixture_diff)
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-# points per kernel call in tabulate: small enough that a call's node block
-# stays in cache, large enough to spread the per-call cost
+# points per node block of an array call: small enough that the block stays
+# in cache, large enough to spread the per-block cost
 _CHUNK = 64
 
 
-def _points(*values) -> tuple | list:
-    """The arguments as floats when all are 0-d, else as float arrays of one
-    broadcast shape."""
-    if all(isinstance(v, float) for v in values):
-        return values
-    points = [np.asarray(v, dtype=float) for v in values]
-    if not any(p.ndim for p in points):
-        return [float(p) for p in points]
-    # a chunk of equal-length arrays, the common case, needs no broadcast
-    return points if len({p.shape for p in points}) == 1 else np.broadcast_arrays(*points)
-
-
-def _tanh_sums(x_a, x_b, centers: np.ndarray, spec: QuadratureSpec):
-    """sums[r][k][lobe]: rule r (N, 2N) of t = tanh((y - x_a) x_b) (k = 0)
-    and of t * y (k = 1) against the lobe phi(y - c) at each of ``centers``
-    (lobes stacked along axis 0, each of the point shape): an array, or
-    nested Python floats when the points are 0-d (``centers`` is 1-D)."""
-    nodes, w_n, w_2n = _gh_pair(spec.nodes_per_lobe)
-    # block = (t, t * y) on the nodes y of both rules, built in place so a
-    # chunk of points holds no temporaries
+def _tanh_block(centers: np.ndarray, nodes: np.ndarray, x_a, x_b) -> np.ndarray:
+    """(t, t * y), t = tanh((y - x_a) x_b), on the nodes y around each of
+    ``centers``, built in place so a block holds no temporaries."""
     block = np.empty((2,) + centers.shape + nodes.shape)
     t, ty = block
     np.add(centers[..., None], nodes, out=ty)
@@ -115,8 +98,22 @@ def _tanh_sums(x_a, x_b, centers: np.ndarray, spec: QuadratureSpec):
     t *= x_b[..., None] if isinstance(x_b, np.ndarray) else x_b
     np.tanh(t, out=t)
     ty *= t
-    sums = _two_rules(block, w_n, w_2n)
-    return sums.tolist() if centers.ndim == 1 else sums
+    return block
+
+
+def _tanh_sums(x_a, x_b, centers: np.ndarray, spec: QuadratureSpec):
+    """sums[r][k][lobe]: rule r (N, 2N) of t (k = 0) and of t * y (k = 1)
+    against the lobe phi(y - c) at each of ``centers`` (lobes stacked along
+    axis 0): an array, _CHUNK points per node block, or nested Python floats
+    when the points are 0-d (``centers`` is 1-D)."""
+    if centers.ndim == 1:
+        return _lobe_sums(_tanh_block, centers, spec, x_a, x_b)
+    sums = np.empty((2, 2) + centers.shape)
+    for lo in range(0, centers.shape[-1], _CHUNK):
+        part = np.s_[..., lo:lo + _CHUNK]
+        a = x_a[part] if isinstance(x_a, np.ndarray) else x_a
+        sums[part] = _lobe_sums(_tanh_block, centers[part], spec, a, x_b[part])
+    return sums
 
 
 def kernel_pgs(x_a, x_b, x_theta, spec: QuadratureSpec = DEFAULT_SPEC) -> tuple:
@@ -125,7 +122,9 @@ def kernel_pgs(x_a, x_b, x_theta, spec: QuadratureSpec = DEFAULT_SPEC) -> tuple:
     constant half would leave the rounding of int y p(y) dy (~1e-17) in Gamma
     at small x_b."""
     x_a, x_b, x_t = _points(x_a, x_b, x_theta)
-    centers = np.array((x_t, -x_t) if np.count_nonzero(x_t) else (x_t,))
+    # a float is tested directly: np.count_nonzero would first make it an array
+    two = x_t != 0.0 if isinstance(x_t, float) else np.count_nonzero(x_t)
+    centers = np.array((x_t, -x_t) if two else (x_t,))
     # (P, Gamma, S) under each rule from its lobe sums (T0, T1) at (+x_t, -x_t)
     coarse, fine = (
         [0.25 * (t0[0] + t0[-1]) + 0.5, 0.25 * (t1[0] + t1[-1]), 0.25 * (t0[0] - t0[-1])]
@@ -198,34 +197,26 @@ def eval_aux_bounds(x: float) -> AuxBounds:
     return AuxBounds(l=l, W=w, J=j, mills_gap=mills_gap)
 
 
-def _chunked(kernel, spec: QuadratureSpec, *points: np.ndarray) -> np.ndarray:
-    """``kernel`` over 1-D point arrays, _CHUNK points per call, its values
-    stacked along axis 0 (one row per value for a kernel of several)."""
-    parts = [
-        kernel(*(p[lo:lo + _CHUNK] for p in points), spec)
-        for lo in range(0, points[0].size, _CHUNK)
-    ]
-    return np.concatenate(parts, axis=-1)
-
-
 def tabulate(
     values_a, values_b, values_theta, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> list[tuple[float, float, float, float, float, float, float, float]]:
     """Evaluate (P, Gamma, S, F, K) on the Cartesian grid of the three axes.
 
     Returns rows (x_a, x_b, x_theta, P, Gamma, S, F, K) of Python floats in
-    row-major order, matching the CSV layout of the command-line tabulator.
-    F and K are evaluated once per (x_b, x_theta) and (x_a, x_b) grid pair,
-    and every kernel runs over chunks of _CHUNK points; each value equals its
-    one-point call bit for bit.
+    row-major order, matching the CSV layout of the command-line tabulator;
+    an empty axis gives no rows.  F and K are evaluated once per
+    (x_b, x_theta) and (x_a, x_b) grid pair, each kernel in one call over
+    its flattened grid; each value equals its one-point call bit for bit.
     """
     x_a, x_b, x_t = np.meshgrid(
         *(np.asarray(axis, dtype=float) for axis in (values_a, values_b, values_theta)),
         indexing="ij",
     )
+    if not x_a.size:
+        return []
     shape = x_a.shape
-    f = _chunked(kernel_f, spec, x_b[0].ravel(), x_t[0].ravel()).reshape(shape[1:])
-    k = _chunked(kernel_k, spec, x_a[..., 0].ravel(), x_b[..., 0].ravel())
-    pgs = _chunked(kernel_pgs, spec, x_a.ravel(), x_b.ravel(), x_t.ravel())
+    f = kernel_f(x_b[0].ravel(), x_t[0].ravel(), spec).reshape(shape[1:])
+    k = kernel_k(x_a[..., 0].ravel(), x_b[..., 0].ravel(), spec)
+    pgs = kernel_pgs(x_a.ravel(), x_b.ravel(), x_t.ravel(), spec)
     f, k = np.broadcast_to(f, shape), np.broadcast_to(k.reshape(shape[:2] + (1,)), shape)
     return list(zip(*(np.ravel(c).tolist() for c in (x_a, x_b, x_t, *pgs, f, k))))

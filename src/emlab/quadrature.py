@@ -28,16 +28,16 @@ and -x_theta.  Every integrator evaluates its rule at N and 2N nodes per lobe
 and raises :class:`NonConvergence` when the two disagree beyond the requested
 absolute tolerance; the finer value is returned.
 
-The integrators are shape-generic: a float center (or x_theta) gives a float,
-a 1-D array of them gives an array with one integral per point.  The
-integrand is called once, on the nodes of both rules and both lobes of every
-point at once (the block c[..., None] + y), so it must act elementwise and
-broadcast any per-point parameter as p[..., None].  Each point's sum under
-each rule is its own BLAS dot over the node axis (np.vecdot), so a point's
-value does not depend on which other points share its call.  The self-check
-runs per point, and NonConvergence names the worst one.  A 0-d x_theta of a
-mixture integral (a float, a numpy scalar or a 0-d array) runs the same node
-pass, then combines the lobe sums and checks them as Python floats.
+The integrators and the kernels (emlab.kernels) share one point convention,
+_points: points that are all 0-d (floats, numpy scalars, 0-d arrays) go
+through as Python floats and give floats; 1-D arrays give one value per
+point.  They share one Gauss-Hermite pass, _lobe_sums: an integrand lays its
+values out on the nodes of both rules around every lobe center, and each
+center's sum under each rule is its own BLAS dot over the node axis
+(np.vecdot), so a point's value does not depend on which other points share
+its call.  An integrator's f is called once, on the block c[..., None] + y,
+so it must act elementwise and broadcast any per-point parameter as
+p[..., None].  The self-check runs per point; NonConvergence names the worst.
 """
 
 from __future__ import annotations
@@ -136,34 +136,44 @@ def _gh_pair(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y, w_n, w_2n
 
 
-def _two_rules(values: np.ndarray, w_n: np.ndarray, w_2n: np.ndarray) -> np.ndarray:
-    """The N- and 2N-node sums of values laid out on the _gh_pair nodes,
-    stacked along a new axis 0."""
+def _points(*values) -> tuple | list:
+    """The arguments as floats when all are 0-d, else as float arrays of one
+    broadcast shape."""
+    if all(isinstance(v, float) for v in values):
+        return values
+    points = [np.asarray(v, dtype=float) for v in values]
+    if not any(p.ndim for p in points):
+        return [float(p) for p in points]
+    # equal-length arrays, the common case, need no broadcast
+    return points if len({p.shape for p in points}) == 1 else np.broadcast_arrays(*points)
+
+
+def _lobe_sums(integrand: Callable, centers: np.ndarray, spec: QuadratureSpec, *args):
+    """The N- and 2N-node sums (stacked along a new axis 0) of the values
+    ``integrand(centers, nodes, *args)`` lays out on the nodes of both rules,
+    one BLAS dot per row and rule; ``centers`` holds a row of points per lobe,
+    and the sums of 0-d points (``centers`` 1-D) are nested Python floats."""
+    nodes, w_n, w_2n = _gh_pair(spec.nodes_per_lobe)
+    values = integrand(centers, nodes, *args)
     k = w_n.size
-    out = np.empty((2,) + values.shape[:-1])
-    np.vecdot(values[..., :k], w_n, out=out[0, ...])
-    np.vecdot(values[..., k:], w_2n, out=out[1, ...])
-    return out
+    sums = np.empty((2,) + values.shape[:-1])
+    np.vecdot(values[..., :k], w_n, out=sums[0, ...])
+    np.vecdot(values[..., k:], w_2n, out=sums[1, ...])
+    return sums.tolist() if centers.ndim == 1 else sums
 
 
-def _lobe_sums(f: Callable, centers: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
-    """sum_i w_i f(c + y_i) for each center c under the N- and 2N-node rules
-    (stacked along axis 0), from one call of f; one BLAS dot per center and
-    rule.  The node block f gets is allocated for that call alone, so f may
-    overwrite it and return it."""
-    y, w_n, w_2n = _gh_pair(spec.nodes_per_lobe)
-    return _two_rules(f(centers[..., None] + y), w_n, w_2n)
+def _on_nodes(centers: np.ndarray, nodes: np.ndarray, f: Callable) -> np.ndarray:
+    """f on the nodes around each center, in a block f may overwrite."""
+    return f(centers[..., None] + nodes)
 
 
 def _self_checked(coarse, fine, what: str, points: dict, spec: QuadratureSpec):
     """``fine``, the 2N-node values, after checking them against ``coarse``,
     the N-node ones.  Both hold any number of values per point, stacked in
-    front of the shape of the point arrays in ``points`` (name -> value);
-    0-d point arrays give Python floats (a float, or a list of one per
-    value).  Values that are already Python floats (0-d points given as
-    floats) are checked as floats and come back as they went in.  On failure
-    the message names the point with the largest gap, or the first point
-    whose gap is NaN: a NaN gap has not settled."""
+    front of the shape of the point arrays in ``points`` (name -> value),
+    or are Python floats (a float, or a list of one per value) for float
+    points.  On failure the message names the point with the largest gap,
+    or the first point whose gap is NaN: a NaN gap has not settled."""
     pairs = list(zip(fine, coarse)) if type(fine) is list else [(fine, coarse)]
     if type(pairs[0][0]) is float:
         # one <= per value, so a NaN gap fails (max() would skip it)
@@ -182,26 +192,21 @@ def _self_checked(coarse, fine, what: str, points: dict, spec: QuadratureSpec):
             f"{what} at {where} did not settle: "
             f"|I_2N - I_N| = {gap[worst]:.3e} > {spec.abs_tol:.3e}"
         )
-    return fine if shape else fine.tolist()
+    return fine
 
 
 def integrate_against_gaussian(f: Callable, center, spec: QuadratureSpec = DEFAULT_SPEC):
     """int f(y) phi(y - center) dy with the two-resolution self-check."""
-    c = np.asarray(center, dtype=float)
-    coarse, fine = _lobe_sums(f, c, spec)
+    (c,) = _points(center)
+    (coarse,), (fine,) = _lobe_sums(_on_nodes, np.array((c,)), spec, f)
     return _self_checked(coarse, fine, "Gaussian quadrature", {"center": c}, spec)
 
 
 def _mixture(f: Callable, x_theta, sign: float, what: str, spec: QuadratureSpec):
-    """0.5 * (lobe at +x_theta + sign * lobe at -x_theta), both lobes in one
-    pass.  A 0-d x_theta combines its four lobe sums as Python floats, with
-    the arithmetic of the array path."""
-    x_t = np.asarray(x_theta, dtype=float)
-    if not x_t.ndim:
-        x_t = float(x_t)
-    sums = _lobe_sums(f, np.array((x_t, -x_t)), spec)  # [rule, lobe, point...]
-    coarse, fine = (0.5 * (plus + sign * minus)
-                    for plus, minus in (sums if sums.ndim > 2 else sums.tolist()))
+    """0.5 * (lobe at +x_theta + sign * lobe at -x_theta), in one pass."""
+    (x_t,) = _points(x_theta)
+    sums = _lobe_sums(_on_nodes, np.array((x_t, -x_t)), spec, f)  # [rule][lobe][point...]
+    coarse, fine = (0.5 * (plus + sign * minus) for plus, minus in sums)
     return _self_checked(coarse, fine, what, {"x_theta": x_t}, spec)
 
 

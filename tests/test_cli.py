@@ -107,6 +107,15 @@ class TestConfigErrors:
     def test_theta_length_mismatch(self):
         assert self.field({"model": {"d": 3, "theta_star": [1.0]}}) == "model.theta_star"
 
+    @pytest.mark.parametrize("model", [
+        {"theta_star": [1e200, 1e200]},
+        {"mu1": [-1e200, -1e200], "mu2": [1e200, 1e200]},
+        # finite before whitening, overflowing after
+        {"theta_star": [1e200, 0.0], "sigma": [[1e-300, 0.0], [0.0, 1.0]]},
+    ])
+    def test_theta_whose_norm_overflows(self, model):
+        assert self.field({"model": model}) == "model.theta_star"
+
     def test_bool_is_not_an_int(self):
         payload = {"stop": {"max_iters": True}}
         assert self.field(payload, command="run-population") == "stop.max_iters"
@@ -691,6 +700,16 @@ class TestMainErrors:
         assert err.startswith("config error: slice: ")
         assert err.count("\n") == 1
         assert not any(out.iterdir())
+
+    def test_overflowing_theta_exits_2(self, tmp_path, capsys):
+        """A theta* whose norm overflows is one config error naming it, not
+        a table of -inf or a NaN NonConvergence."""
+        cfg = _write_config(tmp_path, {"model": {"theta_star": [1e200, 1e200]}})
+        out = tmp_path / "o"
+        assert main(["landscape", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: model.theta_star: theta_star's norm must be finite\n"
+        assert not out.exists() or not any(out.iterdir())
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -66,6 +66,13 @@ class TestContainers:
     def test_norm_theta(self):
         assert MixtureModel(2, [3.0, 4.0]).norm_theta == 5.0
 
+    def test_a_theta_whose_norm_overflows_is_refused(self):
+        """Finite entries past |v| ~ 1.3e154 square to inf: such a theta*
+        has no finite norm and would put infinities into every kernel."""
+        with pytest.raises(ValueError, match="^theta_star's norm must be finite$"):
+            MixtureModel(2, [1e200, 1e200])
+        assert MixtureModel(1, [1e154]).norm_theta == 1e154
+
     def test_abstate_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ABState([1.0], [1.0, 2.0])

@@ -9,6 +9,7 @@ alive for one pinned case.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,47 @@ KERNEL_ARGS = {
     "K": (kernel_k, lambda a, b, t: (a, b)),
     "R": (kernel_r, lambda a, b, t: (b, a)),
 }
+
+
+class TestLongCalls:
+    """An array call of any length sizes its own node blocks, _CHUNK points
+    at a time: each value equals its one-point call bit for bit, and the
+    call's memory does not grow with its node block."""
+
+    N = 5000  # not a multiple of the 64-point block
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        rng = np.random.default_rng(27)
+        x_a, x_t = rng.uniform(-3.0, 3.0, (2, self.N))
+        x_b = rng.uniform(0.0, 2.5, self.N)
+        x_b[::97], x_t[::89] = 0.0, 0.0  # the exact cases among the rest
+        return x_a, x_b, x_t
+
+    @pytest.mark.parametrize("name", KERNEL_ARGS)
+    def test_each_value_is_its_one_point_call(self, name, points):
+        kernel, args = KERNEL_ARGS[name]
+        batch = np.reshape(kernel(*args(*points)), (-1, self.N))
+        one_point = [kernel(*args(*p)) for p in zip(*(axis.tolist() for axis in points))]
+        assert batch.tobytes() == np.array(one_point).reshape(self.N, -1).T.tobytes()
+
+    @pytest.mark.parametrize("name", KERNEL_ARGS)
+    def test_no_points_give_empty_arrays(self, name):
+        kernel, args = KERNEL_ARGS[name]
+        values = kernel(*args(*(np.array([]),) * 3))
+        assert all(v.shape == (0,) and v.dtype == float
+                   for v in (values if name == "pgs" else (values,)))
+
+    def test_a_long_call_peaks_under_4_mb(self, points):
+        """One node block for all 5000 points would be 74 MB."""
+        kernel_pgs(*points)  # loads the rule outside the trace
+        tracemalloc.start()
+        try:
+            kernel_pgs(*points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -512,6 +554,10 @@ class TestTabulate:
             (1.0, 0.5, 0.0),
             (1.0, 0.5, 2.0),
         ]
+
+    @pytest.mark.parametrize("axes", [([], [1.0], [1.0]), ([1.0], [], [1.0]), ([1.0], [1.0], [])])
+    def test_an_empty_axis_gives_no_rows(self, axes):
+        assert tabulate(*axes) == []
 
     def test_row_contents(self):
         (row,) = tabulate([0.7], [1.3], [0.9])
