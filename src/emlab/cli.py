@@ -1,7 +1,8 @@
 """Command-line front end: JSON config in, reproducible CSV/JSON artifacts out.
 
 Usage: ``emlab <command> [--config PATH] [--out DIR] [--seed N]``.  Each
-command reads only the top-level config keys ``_KEYS`` lists for it.
+command reads only the top-level config keys ``_KEYS`` lists for it, and only
+those with a seed among them (run-sample, coupled, consistency) take ``--seed``.
 ``_SCHEMA`` states each field's kind, default and bound once; the README's
 "Command line" section tabulates them, with the exit statuses.
 
@@ -20,6 +21,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from .errors import (
     NonConvergence,
     NotPositiveDefinite,
 )
-from .geometry import ABState, MeanPair, MixtureModel, whiten
+from .geometry import ABState, MeanPair, MixtureModel, _as_vector, whiten
 from .harness import _discrepancies, consistency_ladder, coupled_run
 from .kernels import tabulate
 from .landscape import expected_loglik
@@ -137,9 +139,7 @@ _SCHEMA = {
     },
     "model": {
         "d": (_int, None, 1),  # default: the length of theta_star, else 2
-        "theta_star": (_list, None, _VECTOR),  # default: mu2, else (1, 0, ..., 0)
-        "mu1": (_list, None, _VECTOR),
-        "mu2": (_list, None, _VECTOR),
+        "theta_star": (_list, None, _VECTOR),  # default: (1, 0, ..., 0)
         "sigma": (_list, None, (1, _list, _VECTOR)),  # d rows of length d
     },
     "quadrature": {
@@ -174,19 +174,9 @@ def _check_order(section, lo, hi, path):
 
 
 def _model(section):
-    """The model as ``{d, theta_star}``: theta* is given directly or as the
-    centred means mu1 = -mu2, and whitened by the covariance sigma if given."""
+    """The model as ``{d, theta_star}``: theta*, whitened by the covariance
+    sigma if given."""
     d, theta, sigma = section["d"], section["theta_star"], section["sigma"]
-    mu1, mu2 = section["mu1"], section["mu2"]
-    if theta is not None and (mu1 is not None or mu2 is not None):
-        raise ConfigError("model.theta_star", "give either theta_star or mu1/mu2, not both")
-    if (mu1 is None) != (mu2 is None):
-        raise ConfigError("model.mu1", "mu1 and mu2 must be given together")
-    if mu1 is not None:
-        scale = max(1.0, max(abs(v) for v in mu2))
-        if len(mu1) != len(mu2) or max(abs(x + y) for x, y in zip(mu1, mu2)) > 1e-12 * scale:
-            raise ConfigError("model.mu1", "means must be centered: mu1 = -mu2")
-        theta = mu2
     if theta is None:
         theta = [1.0] + [0.0] * ((d or 2) - 1)
     d = d or len(theta)
@@ -220,6 +210,10 @@ def _start(section, model, family):
                 raise ConfigError(f"init.{key}", f"unknown field for the {family} family")
             if len(value) != model.dim:
                 raise ConfigError(f"init.{key}", f"expected length {model.dim}, got {len(value)}")
+            try:
+                _as_vector(value, key)  # refuses a vector whose norm overflows
+            except ValueError as exc:
+                raise ConfigError(f"init.{key}", str(exc)) from None
             start[key] = value
     if family == "symmetric":  # locked means: a run from (0, theta)
         return start, ABState([0.0] * model.dim, start["theta"])
@@ -260,9 +254,12 @@ def resolve_config(raw, command, seed_override=None):
 # ------------------------------------------------------------ artifact sink
 
 
+def _canonical(resolved) -> str:  # compact JSON, keys sorted: the form that is hashed
+    return json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+
+
 def config_hash(resolved) -> str:
-    blob = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(_canonical(resolved).encode()).hexdigest()
 
 
 class _Sink:
@@ -271,16 +268,10 @@ class _Sink:
     def __init__(self, out_dir, resolved):
         self.dir = Path(out_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
-        self.resolved = resolved
-        self.hash = config_hash(resolved)
+        # in the order a CSV's preamble lists them, the config there as _canonical
+        self.provenance = {"artifact_version": __version__,
+                           "config_hash": config_hash(resolved), "config": resolved}
         self.written = []
-
-    def _preamble(self):
-        return [
-            f"# artifact_version: {__version__}",
-            f"# config_hash: {self.hash}",
-            "# config: " + json.dumps(self.resolved, sort_keys=True, separators=(",", ":")),
-        ]
 
     def csv(self, name, columns):
         """A table from named columns, a 2-D column ``x`` spread over ``x_0``,
@@ -294,19 +285,15 @@ class _Sink:
             else:
                 header.append(key)
                 cells.append(values.tolist())
-        lines = self._preamble() + [",".join(header)]
+        preamble = dict(self.provenance, config=_canonical(self.provenance["config"]))
+        lines = [f"# {key}: {value}" for key, value in preamble.items()] + [",".join(header)]
         lines.extend(",".join(map(str, row)) for row in zip(*cells))
         self._write(name, "\n".join(lines))
 
     def json(self, name, payload):
         """The provenance fields and ``payload``; a numpy value is written as
         its Python value (an np.float64 is a float already)."""
-        document = {
-            "artifact_version": __version__,
-            "config_hash": self.hash,
-            "config": self.resolved,
-        }
-        document.update(payload)
+        document = dict(self.provenance, **payload)
         self._write(name, json.dumps(document, sort_keys=True, indent=2, allow_nan=False,
                                      default=lambda value: value.tolist()))
 
@@ -388,16 +375,17 @@ def _cmd_landscape(sink, model, spec, init, stop, resolved):
     sl = resolved["slice"]
     tnorm = model.norm_theta
     axis = model.theta_star / tnorm if tnorm > 0.0 else np.eye(model.dim)[0]
-    # every cell's means in one array each, checked once; an overflow, in the
-    # axes or in a -/+ b, leaves a non-finite mean
+    # every cell's a and b in one array each, checked once: G squares both, and
+    # a finite a.a + b.b keeps the means a -/+ b finite too
     with np.errstate(over="ignore", invalid="ignore"):
         a_offsets, b_offsets = (grid.ravel() for grid in np.meshgrid(
             np.linspace(sl["a_lo"], sl["a_hi"], sl["a_steps"]),
             np.linspace(sl["b_lo"], sl["b_hi"], sl["b_steps"]), indexing="ij"))
         a, b = a_offsets[:, None] * axis, b_offsets[:, None] * axis
-        mu1, mu2 = a - b, a + b
-    if not (np.isfinite(mu1).all() and np.isfinite(mu2).all()):
-        raise ConfigError("slice", "the means a - b and a + b of every cell must be finite")
+        squares = (a * a).sum(axis=1) + (b * b).sum(axis=1)
+    if not np.isfinite(squares).all():
+        raise ConfigError("slice", "every cell's a.a + b.b must be finite")
+    mu1, mu2 = a - b, a + b
     mu1.flags.writeable = mu2.flags.writeable = False
     values = [expected_loglik(MeanPair._checked(row1, row2), model, spec)
               for row1, row2 in zip(mu1, mu2)]
@@ -426,18 +414,10 @@ def _cmd_consistency(sink, model, spec, init, stop, resolved):
         seed=resolved["seed"],
         spec=spec,
     )
-    sink.json(
-        "consistency.json",
-        {
-            "n_ladder": result.n_ladder,
-            "sup_discrepancy": result.sup_discrepancy,
-            "final_error": result.final_error,
-            # a ladder of fewer than 4 rungs has no rate fit: null, not NaN
-            "slope": None if math.isnan(result.slope) else result.slope,
-            "trials": result.trials,
-            "seeds": result.seeds,
-        },
-    )
+    payload = asdict(result)
+    if math.isnan(result.slope):  # a ladder of fewer than 4 rungs has no rate fit
+        payload["slope"] = None
+    sink.json("consistency.json", payload)
     return 0
 
 
@@ -452,21 +432,9 @@ def _cmd_verify(sink, model, spec, init, stop, resolved):
     all_passed = all(r.passed for r in results)
     print(f"result: {'PASS' if all_passed else 'FAIL'} "
           f"({sum(r.passed for r in results)}/{len(results)} criteria)")
-    sink.json(
-        "verify.json",
-        {
-            "all_passed": all_passed,
-            "criteria": [
-                {
-                    "number": r.number,
-                    "title": r.title,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
-        },
-    )
+    # seconds vary between runs: printed, not written
+    criteria = [{k: v for k, v in asdict(r).items() if k != "seconds"} for r in results]
+    sink.json("verify.json", {"all_passed": all_passed, "criteria": criteria})
     return 0 if all_passed else 1
 
 
@@ -495,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="JSON config file")
         p.add_argument("--out", metavar="DIR", default="emlab-out",
                        help="output directory (default: emlab-out)")
-        p.add_argument("--seed", metavar="N", type=int, help="override the config seed")
+        if "seed" in _KEYS[name]:
+            p.add_argument("--seed", metavar="N", type=int, help="override the config seed")
     return parser
 
 
@@ -511,7 +480,8 @@ def main(argv=None) -> int:
                 raise ConfigError("<config>", f"no such file: {args.config}") from None
             except json.JSONDecodeError as exc:
                 raise ConfigError("<config>", f"invalid JSON: {exc}") from None
-        resolved, model, spec, init, stop = resolve_config(raw, args.command, args.seed)
+        seed = getattr(args, "seed", None)  # only a command that reads a seed has the flag
+        resolved, model, spec, init, stop = resolve_config(raw, args.command, seed)
         sink = _Sink(args.out, resolved)
         status = _COMMANDS[args.command](sink, model, spec, init, stop, resolved)
     except ConfigError as exc:

@@ -37,13 +37,18 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 
 
 def _as_vector(value, name: str) -> np.ndarray:
+    """A read-only copy of a non-empty 1-d vector of finite floats whose norm
+    is finite too: finite entries past |v| ~ 1.3e154 square to inf."""
     arr = np.array(value, dtype=float, copy=True)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
+    with np.errstate(over="ignore"):  # a nan or inf entry, or an overflow, leaves v.v non-finite
+        square = arr.dot(arr)
+    if not math.isfinite(square):
+        finite = np.isfinite(arr).all()
+        raise ValueError(f"{name}'s norm must be finite" if finite else f"{name} must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -76,13 +81,9 @@ class MixtureModel:
             raise DimensionMismatch(
                 f"theta_star has length {vec.size}, expected dim={dim}"
             )
-        with np.errstate(over="ignore"):  # an overflowing v.v is refused below
-            norm = _norm(vec)
-        if not math.isfinite(norm):
-            raise ValueError("theta_star's norm must be finite")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "theta_star", vec)
-        object.__setattr__(self, "norm_theta", norm)
+        object.__setattr__(self, "norm_theta", _norm(vec))
 
 
 @dataclass(frozen=True, eq=False)

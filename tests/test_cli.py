@@ -12,7 +12,7 @@ import pytest
 
 import emlab
 from emlab import ConfigError
-from emlab.cli import config_hash, main, resolve_config
+from emlab.cli import _KEYS, config_hash, main, resolve_config
 from emlab.sampling import _BLAS_PINNED
 
 
@@ -41,13 +41,6 @@ class TestResolveConfig:
         resolved, model, *_ = resolve_config({}, "coupled")
         assert resolved["model"] == {"d": 2, "theta_star": [1.0, 0.0]}
         assert resolved["seed"] == 0
-        assert model.dim == 2
-
-    def test_model_from_mean_pair(self):
-        resolved, model, *_ = resolve_config(
-            {"model": {"mu1": [-1.0, -0.5], "mu2": [1.0, 0.5]}}, "landscape"
-        )
-        assert resolved["model"]["theta_star"] == [1.0, 0.5]
         assert model.dim == 2
 
     def test_sigma_is_consumed_by_whitening(self):
@@ -94,22 +87,22 @@ class TestConfigErrors:
     def test_wrong_command(self):
         assert self.field({"command": "kernels"}, command="landscape") == "command"
 
-    def test_theta_and_means_conflict(self):
-        payload = {"model": {"theta_star": [1.0], "mu1": [-1.0], "mu2": [1.0]}}
-        assert self.field(payload) == "model.theta_star"
-
-    def test_half_specified_means(self):
-        assert self.field({"model": {"mu1": [-1.0]}}) == "model.mu1"
-
-    def test_uncentered_means(self):
-        assert self.field({"model": {"mu1": [-1.0], "mu2": [1.1]}}) == "model.mu1"
+    @pytest.mark.parametrize("model", [
+        {"mu1": [-1.0]},
+        {"mu1": [-1.0], "mu2": [1.1]},
+        {"mu1": [-1.0, -0.5], "mu2": [1.0, 0.5]},
+        {"theta_star": [1.0, 0.5], "mu1": [-1.0, -0.5]},
+    ])
+    def test_mean_pair_is_an_unknown_field(self, model):
+        """The model is theta* alone; a mean pair is no second spelling of it."""
+        with pytest.raises(ConfigError, match="^model.mu1: unknown field$"):
+            resolve_config({"model": model}, "landscape")
 
     def test_theta_length_mismatch(self):
         assert self.field({"model": {"d": 3, "theta_star": [1.0]}}) == "model.theta_star"
 
     @pytest.mark.parametrize("model", [
         {"theta_star": [1e200, 1e200]},
-        {"mu1": [-1e200, -1e200], "mu2": [1e200, 1e200]},
         # finite before whitening, overflowing after
         {"theta_star": [1e200, 0.0], "sigma": [[1e-300, 0.0], [0.0, 1.0]]},
     ])
@@ -166,8 +159,6 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command, payload, path", [
         ("run-population", {"model": {"d": "2"}}, "model.d"),
         ("run-population", {"model": {"theta_star": 1.0}}, "model.theta_star"),
-        ("run-population", {"model": {"mu1": [-1.0, "0"], "mu2": [1.0, 0.0]}}, "model.mu1[1]"),
-        ("run-population", {"model": {"mu1": [-1.0, 0.0], "mu2": "x"}}, "model.mu2"),
         ("run-population", {"model": {"sigma": {}}}, "model.sigma"),
         ("run-population", {"quadrature": {"nodes_per_lobe": 512.0}}, "quadrature.nodes_per_lobe"),
         ("run-population", {"quadrature": {"abs_tol": "1e-10"}}, "quadrature.abs_tol"),
@@ -281,9 +272,21 @@ class TestSchema:
 
     @pytest.mark.parametrize("command", [c for c, reads in _READS.items() if "seed" not in reads])
     def test_seed_flag_exits_2(self, tmp_path, command, capsys):
+        """A command that reads no seed has no --seed flag to pass."""
         cfg = _write_config(tmp_path, _SMALL[command])
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
-        assert "config error: seed: " in capsys.readouterr().err
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(out), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(_READS))
+    def test_help_offers_seed_where_a_seed_is_read(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert ("--seed N" in capsys.readouterr().out) == ("seed" in _KEYS[command])
 
     @pytest.mark.parametrize("command, key", [
         (command, key) for command, reads in _READS.items() for key in reads
@@ -689,11 +692,17 @@ class TestMainErrors:
         assert err.count("\n") == 1
         assert not any(out.iterdir())
 
-    def test_overflowing_slice_exits_2(self, tmp_path, capsys):
-        """a - b overflows on a slice of +-1e308 offsets: one config error
-        naming the slice, no traceback, no artifact."""
-        cfg = _write_config(tmp_path, {"slice": {
-            "a_lo": -1e308, "a_hi": 1e308, "b_lo": -1e308, "b_hi": 1e308}})
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sl", [
+        {"a_lo": -1e308, "a_hi": 1e308, "b_lo": -1e308, "b_hi": 1e308},
+        *({"a_lo": a, "a_hi": a, "a_steps": 1, "b_lo": b, "b_hi": b, "b_steps": 1}
+          for a, b in ((1e200, 1.0), (0.0, 1e200), (1.2e154, 1.2e154))),
+    ])
+    def test_overflowing_slice_exits_2(self, tmp_path, capsys, sl):
+        """G squares a and b: a slice with a cell whose a.a + b.b overflows,
+        even with each square finite, is one config error naming the slice,
+        not a traceback, a table of -inf or a NaN NonConvergence."""
+        cfg = _write_config(tmp_path, {"slice": sl})
         out = tmp_path / "o"
         assert main(["landscape", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -701,15 +710,23 @@ class TestMainErrors:
         assert err.count("\n") == 1
         assert not any(out.iterdir())
 
-    def test_overflowing_theta_exits_2(self, tmp_path, capsys):
-        """A theta* whose norm overflows is one config error naming it, not
-        a table of -inf or a NaN NonConvergence."""
-        cfg = _write_config(tmp_path, {"model": {"theta_star": [1e200, 1e200]}})
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, config, path", [
+        ("landscape", {"model": {"theta_star": [1e200, 1e200]}}, "model.theta_star"),
+        ("run-sample", {"init": {"b": [1e200, 0.0]}, "n": 100}, "init.b"),
+        ("run-sample", {"init": {"a": [0.0, 1e200]}, "n": 100}, "init.a"),
+        ("run-population", {"init": {"b": [1e200, 0.0]}}, "init.b"),
+        ("run-population", {"family": "symmetric", "init": {"theta": [1e200, 0.0]}}, "init.theta"),
+    ])
+    def test_vector_whose_norm_overflows_exits_2(self, tmp_path, capsys, command, config, path):
+        """A theta* or a start whose norm overflows is one config error naming
+        it, not a table of -inf, a row of beta = pi/2 or a NaN NonConvergence."""
         out = tmp_path / "o"
-        assert main(["landscape", "--config", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == "config error: model.theta_star: theta_star's norm must be finite\n"
-        assert not out.exists() or not any(out.iterdir())
+        assert main([command, "--config", _write_config(tmp_path, config),
+                     "--out", str(out)]) == 2
+        name = path.split(".")[1]
+        assert capsys.readouterr().err == f"config error: {path}: {name}'s norm must be finite\n"
+        assert not out.exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

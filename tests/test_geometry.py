@@ -77,10 +77,12 @@ class TestContainers:
         with pytest.raises(DimensionMismatch):
             ABState([1.0], [1.0, 2.0])
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("pair, names", [(ABState, ("a", "b")), (MeanPair, ("mu1", "mu2"))])
     def test_pair_check_names_its_fields(self, pair, names):
         """Both containers share one check, and its messages name the
-        container's own fields."""
+        container's own fields.  Finite entries past |v| ~ 1.3e154 square to
+        inf, so the check refuses them as it refuses such a theta*."""
         first, second = names
         with pytest.raises(DimensionMismatch, match=f"^{first} has length 2 but {second} has length 1$"):
             pair([1.0, 2.0], [1.0])
@@ -89,6 +91,11 @@ class TestContainers:
                 pair([bad, 0.0], [1.0, 2.0])
             with pytest.raises(ValueError, match=f"^{second} must be finite$"):
                 pair([1.0, 2.0], [0.0, bad])
+        with pytest.raises(ValueError, match=f"^{first}'s norm must be finite$"):
+            pair([1e200, 0.0], [1.0, 0.0])
+        with pytest.raises(ValueError, match=f"^{second}'s norm must be finite$"):
+            pair([1.0, 0.0], [1e200, 1e200])
+        pair([1e154, 0.0], [0.0, 1e154])  # v.v = 1e308 is still finite
 
     def test_vectors_are_frozen(self):
         state = ABState([1.0, 0.0], [0.0, 1.0])
