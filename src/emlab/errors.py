@@ -2,7 +2,8 @@
 
 
 class NonConvergence(RuntimeError):
-    """A quadrature rule failed its two-resolution self-check."""
+    """A quadrature rule failed its two-resolution self-check, or a value lost
+    its digits to cancellation."""
 
 
 class DomainError(ValueError):

@@ -11,9 +11,12 @@ on Y only through its projection on the unit vector along b, whose law is the
 centered two-lobe mixture with offset <theta*, b>/|b|.  Concretely
 
     G = -(d/2) log(2 pi) - (d + |theta*|^2 + |a|^2 + |b|^2)/2
-        + int log cosh(|b| (y - x_a)) p(y, t1) dy,
+        + int log cosh(x_b (y - x_a)) p(y, x_theta) dy,
 
-with x_a = <a, b>/|b| and t1 = <theta*, b>/|b|.  The gradient in means is
+with the kernels' planar coordinates x_a = <a, b>/|b|, x_b = |b| and
+x_theta = <theta*, b>/|b|.  The integral is one node block of the shared
+Gauss-Hermite pass, quadrature._lobe_sums: log(2 cosh) on both lobes under
+both rules, with log 2 taken off each rule's sum.  The gradient in means is
 the posterior-weighted residual pair
 
     grad_mu1 G = E[v (Y - mu1)] = -q - mu1 (1 - p),
@@ -30,19 +33,28 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .geometry import ABState, MeanPair, MixtureModel, _norm, to_ab
+from .errors import DimensionMismatch, NonConvergence
+from .geometry import ABState, MeanPair, MixtureModel, to_ab
 # not called here; kept importable because the benchmark tracer (perfbench/spans.py) wraps it
 from .geometry import planar_reduce  # noqa: F401
 from .population import model2_step
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_against_mixture
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, _lobe_sums, _self_checked
+# not called here; kept importable because the benchmark tracer (perfbench/spans.py) wraps it
+from .quadrature import integrate_against_mixture  # noqa: F401
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_2 = math.log(2.0)
+_EPS = sys.float_info.epsilon
+# G is refused once the rounding of quad + I exceeds this share of |G| (and abs_tol)
+_REL_TOL = 1e-12
+# up to this dimension _ab_products sums in Python floats: fewer than ~16
+# multiply-adds cost less than the numpy calls that would do them
+_SHORT_DIM = 16
 _GRAD_TOL = 1e-6
 _EIG_TOL = 1e-6
 _HESS_STEP = 1e-4
@@ -65,43 +77,86 @@ class StationaryReport:
     classification: Classification
 
 
-def _log_cosh(z: np.ndarray) -> np.ndarray:
-    """log cosh(z) as |z| + log1p(exp(-2|z|)) - log 2, which keeps the tail
-    linear instead of overflowing cosh; computed in place: z is overwritten
-    and returned."""
+def _log_2cosh(z: np.ndarray) -> np.ndarray:
+    """log(2 cosh z) as |z| + log1p(exp(-2|z|)), which keeps the tail linear
+    instead of overflowing cosh; computed in place: z is overwritten and
+    returned."""
     np.abs(z, out=z)
     tail = np.multiply(z, -2.0)
     np.exp(tail, out=tail)
     np.log1p(tail, out=tail)
     z += tail
+    return z
+
+
+def _log_cosh(z: np.ndarray) -> np.ndarray:
+    """log cosh(z), in place like _log_2cosh."""
+    z = _log_2cosh(z)
     z -= _LOG_2
     return z
+
+
+def _log_cosh_block(centers: np.ndarray, nodes: np.ndarray, norm_b: float) -> np.ndarray:
+    """log(2 cosh u), u = norm_b * z, on the nodes z = c + node around each of
+    ``centers``, built in place."""
+    u = np.add(centers[..., None], nodes)
+    u *= norm_b
+    return _log_2cosh(u)
+
+
+def _ab_products(mu1: np.ndarray, mu2: np.ndarray, theta: np.ndarray) -> tuple:
+    """a.a, a.b, b.b and b.theta as floats, for a = (mu1 + mu2)/2 and
+    b = (mu2 - mu1)/2 as to_ab makes them: their squares stay finite wherever
+    a.a + b.b does, unlike those of mu1 + mu2 and mu2 - mu1."""
+    if mu1.size <= _SHORT_DIM:
+        aa = ab = bb = bt = 0.0
+        for x, y, t in zip(mu1.tolist(), mu2.tolist(), theta.tolist()):
+            a, b = 0.5 * (x + y), 0.5 * (y - x)
+            aa += a * a
+            ab += a * b
+            bb += b * b
+            bt += b * t
+        return aa, ab, bb, bt
+    a, b = 0.5 * (mu1 + mu2), 0.5 * (mu2 - mu1)
+    return float(a @ a), float(a @ b), float(b @ b), float(b @ theta)
 
 
 def expected_loglik(
     means: MeanPair, model: MixtureModel, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> float:
-    """Population expected log-likelihood G(mu1, mu2) under `model`."""
+    """Population expected log-likelihood G(mu1, mu2) under `model`, a float.
+
+    G is the closed-form quadratic part quad plus the log-cosh integral I,
+    whose N/2N self-check names x_a, x_b and x_theta when it fails.  Far from
+    the origin the two parts cancel: their sum is rounded to within about
+    eps * (|quad| + |I|), and NonConvergence is also raised when that bound
+    exceeds max(abs_tol, 1e-12 |G|), where G would keep too few digits.
+    """
     d = model.dim
     if means.mu1.size != d:
         raise DimensionMismatch(f"state has dimension {means.mu1.size}, model has {d}")
-    # to_ab's and planar_reduce's own arithmetic for a, b, x_a, ||b|| and
-    # theta1, without building the state and the rest of its frame
-    a = 0.5 * (means.mu1 + means.mu2)
-    b = 0.5 * (means.mu2 - means.mu1)
-    norm_b = _norm(b)
-    quad_part = -0.5 * d * _LOG_2PI - 0.5 * (d + model.norm_theta**2 + float(a @ a) + norm_b**2)
+    aa, ab, bb, bt = _ab_products(means.mu1, means.mu2, model.theta_star)
+    norm_b = math.sqrt(bb)
+    quad = -0.5 * d * _LOG_2PI - 0.5 * (d + model.norm_theta**2 + aa + bb)
     if norm_b == 0.0:
-        return quad_part
-    x_a = float(np.dot(a, b)) / norm_b
-    t1 = float((b / norm_b) @ model.theta_star)
-
-    def log_cosh(y):  # on the integrator's node block, in place
-        y -= x_a
-        y *= norm_b
-        return _log_cosh(y)
-
-    return quad_part + integrate_against_mixture(log_cosh, t1, spec)
+        return quad
+    x_a, x_t = ab / norm_b, bt / norm_b
+    # the lobes of Y - x_a along b sit at +-x_theta - x_a; the lobes' mean of
+    # log(2 cosh(x_b z)), less log 2 once per rule
+    lobes = np.array((x_t - x_a, -x_t - x_a))
+    (plus, minus), (plus_2n, minus_2n) = _lobe_sums(_log_cosh_block, lobes, spec, norm_b)
+    coarse, fine = 0.5 * (plus + minus) - _LOG_2, 0.5 * (plus_2n + minus_2n) - _LOG_2
+    points = {"x_a": x_a, "x_b": norm_b, "x_theta": x_t}
+    integral = _self_checked(coarse, fine, "log-cosh quadrature", points, spec)
+    g = quad + integral
+    rounding, tol = _EPS * (abs(quad) + abs(integral)), max(spec.abs_tol, _REL_TOL * abs(g))
+    if not rounding <= tol:
+        where = ", ".join(f"{name} {value!r}" for name, value in points.items())
+        raise NonConvergence(
+            f"expected log-likelihood at {where} cancels: quad {quad!r} + I {integral!r} "
+            f"is rounded to within {rounding:.3e} > max(abs_tol, {_REL_TOL:.0e} |G|) = {tol:.3e}"
+        )
+    return g
 
 
 def grad_G(

@@ -31,13 +31,15 @@ absolute tolerance; the finer value is returned.
 The integrators and the kernels (emlab.kernels) share one point convention,
 _points: points that are all 0-d (floats, numpy scalars, 0-d arrays) go
 through as Python floats and give floats; 1-D arrays give one value per
-point.  They share one Gauss-Hermite pass, _lobe_sums: an integrand lays its
-values out on the nodes of both rules around every lobe center, and each
-center's sum under each rule is its own BLAS dot over the node axis
-(np.vecdot), so a point's value does not depend on which other points share
-its call.  An integrator's f is called once, on the block c[..., None] + y,
-so it must act elementwise and broadcast any per-point parameter as
-p[..., None].  The self-check runs per point; NonConvergence names the worst.
+point.  They, and the landscape's log-cosh integral (emlab.landscape), share
+one Gauss-Hermite pass, _lobe_sums, and its self-check, _self_checked: an
+integrand lays its values out on the nodes of both rules around every lobe
+center, and each center's sum under each rule is its own BLAS dot over the
+node axis (np.vecdot), so a point's value does not depend on which other
+points share its call.  An integrator's f is called once, on the block
+c[..., None] + y, so it must act elementwise and broadcast any per-point
+parameter as p[..., None].  The self-check runs per point; NonConvergence
+names the worst.
 """
 
 from __future__ import annotations
@@ -151,15 +153,18 @@ def _points(*values) -> tuple | list:
 def _lobe_sums(integrand: Callable, centers: np.ndarray, spec: QuadratureSpec, *args):
     """The N- and 2N-node sums (stacked along a new axis 0) of the values
     ``integrand(centers, nodes, *args)`` lays out on the nodes of both rules,
-    one BLAS dot per row and rule; ``centers`` holds a row of points per lobe,
-    and the sums of 0-d points (``centers`` 1-D) are nested Python floats."""
+    one BLAS dot per row and rule; ``centers`` holds a row of points per lobe.
+    For 0-d points (``centers`` 1-D) they are a pair of lists of Python
+    floats, one per rule, nested as the rows of the values."""
     nodes, w_n, w_2n = _gh_pair(spec.nodes_per_lobe)
     values = integrand(centers, nodes, *args)
     k = w_n.size
+    if centers.ndim == 1:
+        return np.vecdot(values[..., :k], w_n).tolist(), np.vecdot(values[..., k:], w_2n).tolist()
     sums = np.empty((2,) + values.shape[:-1])
     np.vecdot(values[..., :k], w_n, out=sums[0, ...])
     np.vecdot(values[..., k:], w_2n, out=sums[1, ...])
-    return sums.tolist() if centers.ndim == 1 else sums
+    return sums
 
 
 def _on_nodes(centers: np.ndarray, nodes: np.ndarray, f: Callable) -> np.ndarray:
@@ -174,23 +179,29 @@ def _self_checked(coarse, fine, what: str, points: dict, spec: QuadratureSpec):
     or are Python floats (a float, or a list of one per value) for float
     points.  On failure the message names the point with the largest gap,
     or the first point whose gap is NaN: a NaN gap has not settled."""
-    pairs = list(zip(fine, coarse)) if type(fine) is list else [(fine, coarse)]
-    if type(pairs[0][0]) is float:
-        # one <= per value, so a NaN gap fails (max() would skip it)
-        if all(abs(f - c) <= spec.abs_tol for f, c in pairs):
+    tol = spec.abs_tol
+    # float points: one <= per value, so a NaN gap fails (max() would skip it)
+    if type(fine) is float:
+        if abs(fine - coarse) <= tol:
             return fine
-        points = {name: np.asarray(value) for name, value in points.items()}
+    elif type(fine) is list and type(fine[0]) is float:
+        for f, c in zip(fine, coarse):
+            if not abs(f - c) <= tol:
+                break
+        else:
+            return fine
     coarse, fine = np.asarray(coarse), np.asarray(fine)
-    shape = next(iter(points.values())).shape
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN gap, which fails below
         gap = np.abs(fine - coarse)
-    if not (gap <= spec.abs_tol).all():
+    if not (gap <= tol).all():
+        points = {name: np.asarray(value) for name, value in points.items()}
+        shape = next(iter(points.values())).shape
         gap = np.max(gap.reshape((-1,) + shape), axis=0)
         worst = np.unravel_index(np.argmax(gap), shape)
         where = ", ".join(f"{name} {float(value[worst])!r}" for name, value in points.items())
         raise NonConvergence(
             f"{what} at {where} did not settle: "
-            f"|I_2N - I_N| = {gap[worst]:.3e} > {spec.abs_tol:.3e}"
+            f"|I_2N - I_N| = {gap[worst]:.3e} > {tol:.3e}"
         )
     return fine
 
