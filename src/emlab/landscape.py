@@ -52,9 +52,6 @@ _LOG_2 = math.log(2.0)
 _EPS = sys.float_info.epsilon
 # G is refused once the rounding of quad + I exceeds this share of |G| (and abs_tol)
 _REL_TOL = 1e-12
-# up to this dimension _ab_products sums in Python floats: fewer than ~16
-# multiply-adds cost less than the numpy calls that would do them
-_SHORT_DIM = 16
 _GRAD_TOL = 1e-6
 _EIG_TOL = 1e-6
 _HESS_STEP = 1e-4
@@ -105,20 +102,17 @@ def _log_cosh_block(centers: np.ndarray, nodes: np.ndarray, norm_b: float) -> np
 
 
 def _ab_products(mu1: np.ndarray, mu2: np.ndarray, theta: np.ndarray) -> tuple:
-    """a.a, a.b, b.b and b.theta as floats, for a = (mu1 + mu2)/2 and
+    """a.a, a.b, b.b and b.theta as Python floats, for a = (mu1 + mu2)/2 and
     b = (mu2 - mu1)/2 as to_ab makes them: their squares stay finite wherever
     a.a + b.b does, unlike those of mu1 + mu2 and mu2 - mu1."""
-    if mu1.size <= _SHORT_DIM:
-        aa = ab = bb = bt = 0.0
-        for x, y, t in zip(mu1.tolist(), mu2.tolist(), theta.tolist()):
-            a, b = 0.5 * (x + y), 0.5 * (y - x)
-            aa += a * a
-            ab += a * b
-            bb += b * b
-            bt += b * t
-        return aa, ab, bb, bt
-    a, b = 0.5 * (mu1 + mu2), 0.5 * (mu2 - mu1)
-    return float(a @ a), float(a @ b), float(b @ b), float(b @ theta)
+    aa = ab = bb = bt = 0.0
+    for x, y, t in zip(mu1.tolist(), mu2.tolist(), theta.tolist()):
+        a, b = 0.5 * (x + y), 0.5 * (y - x)
+        aa += a * a
+        ab += a * b
+        bb += b * b
+        bt += b * t
+    return aa, ab, bb, bt
 
 
 def expected_loglik(

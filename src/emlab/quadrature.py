@@ -153,18 +153,15 @@ def _points(*values) -> tuple | list:
 def _lobe_sums(integrand: Callable, centers: np.ndarray, spec: QuadratureSpec, *args):
     """The N- and 2N-node sums (stacked along a new axis 0) of the values
     ``integrand(centers, nodes, *args)`` lays out on the nodes of both rules,
-    one BLAS dot per row and rule; ``centers`` holds a row of points per lobe.
-    For 0-d points (``centers`` 1-D) they are a pair of lists of Python
-    floats, one per rule, nested as the rows of the values."""
+    one BLAS dot per row and rule; ``centers`` holds a row of points per lobe,
+    and the sums of 0-d points (``centers`` 1-D) are nested Python floats."""
     nodes, w_n, w_2n = _gh_pair(spec.nodes_per_lobe)
     values = integrand(centers, nodes, *args)
     k = w_n.size
-    if centers.ndim == 1:
-        return np.vecdot(values[..., :k], w_n).tolist(), np.vecdot(values[..., k:], w_2n).tolist()
     sums = np.empty((2,) + values.shape[:-1])
     np.vecdot(values[..., :k], w_n, out=sums[0, ...])
     np.vecdot(values[..., k:], w_2n, out=sums[1, ...])
-    return sums
+    return sums.tolist() if centers.ndim == 1 else sums
 
 
 def _on_nodes(centers: np.ndarray, nodes: np.ndarray, f: Callable) -> np.ndarray:
@@ -179,21 +176,14 @@ def _self_checked(coarse, fine, what: str, points: dict, spec: QuadratureSpec):
     or are Python floats (a float, or a list of one per value) for float
     points.  On failure the message names the point with the largest gap,
     or the first point whose gap is NaN: a NaN gap has not settled."""
-    tol = spec.abs_tol
+    pairs = list(zip(fine, coarse)) if type(fine) is list else [(fine, coarse)]
     # float points: one <= per value, so a NaN gap fails (max() would skip it)
-    if type(fine) is float:
-        if abs(fine - coarse) <= tol:
-            return fine
-    elif type(fine) is list and type(fine[0]) is float:
-        for f, c in zip(fine, coarse):
-            if not abs(f - c) <= tol:
-                break
-        else:
-            return fine
+    if type(pairs[0][0]) is float and all(abs(f - c) <= spec.abs_tol for f, c in pairs):
+        return fine
     coarse, fine = np.asarray(coarse), np.asarray(fine)
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN gap, which fails below
         gap = np.abs(fine - coarse)
-    if not (gap <= tol).all():
+    if not (gap <= spec.abs_tol).all():
         points = {name: np.asarray(value) for name, value in points.items()}
         shape = next(iter(points.values())).shape
         gap = np.max(gap.reshape((-1,) + shape), axis=0)
@@ -201,7 +191,7 @@ def _self_checked(coarse, fine, what: str, points: dict, spec: QuadratureSpec):
         where = ", ".join(f"{name} {float(value[worst])!r}" for name, value in points.items())
         raise NonConvergence(
             f"{what} at {where} did not settle: "
-            f"|I_2N - I_N| = {gap[worst]:.3e} > {tol:.3e}"
+            f"|I_2N - I_N| = {gap[worst]:.3e} > {spec.abs_tol:.3e}"
         )
     return fine
 

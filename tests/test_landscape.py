@@ -112,8 +112,7 @@ class TestAgainstSimpson:
 
     @pytest.mark.parametrize("d", [17, 40])
     def test_long_means(self, d):
-        """Past 16 coordinates the products of a and b come from numpy dots;
-        the oracle agrees there too."""
+        """Means longer than any benchmark slice's agree with the oracle too."""
         rng = np.random.default_rng(d)
         theta, a, b = (v / np.linalg.norm(v) * r for v, r in zip(
             rng.normal(size=(3, d)), (1.5, 0.8, 1.2)))
