@@ -10,7 +10,9 @@ Reproducibility contract: with an identical config (seed included) every
 output file is byte-identical across runs.  Floats are serialized with
 ``repr`` (shortest round-trip form), JSON keys are sorted, and each artifact
 embeds the artifact version, the sha256 hash of the fully resolved config,
-and the resolved config itself.
+and the resolved config itself.  A grid table formats each distinct
+coordinate, and each kernel value broadcast over an axis, once per column;
+the bytes are those of formatting every cell.
 """
 
 from __future__ import annotations
@@ -262,6 +264,14 @@ def config_hash(resolved) -> str:
     return hashlib.sha256(_canonical(resolved).encode()).hexdigest()
 
 
+def _reprs(values):
+    """The repr of each float of ``values``, formatted once per distinct bit
+    pattern: equal bits print equal, and 0.0 and -0.0 differ in their bits."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array([repr(value) for value in bits.view(float).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 class _Sink:
     """Writes artifacts into one directory, stamping provenance on each."""
 
@@ -273,9 +283,11 @@ class _Sink:
                            "config_hash": config_hash(resolved), "config": resolved}
         self.written = []
 
-    def csv(self, name, columns):
+    def csv(self, name, columns, repeated=()):
         """A table from named columns, a 2-D column ``x`` spread over ``x_0``,
-        ``x_1``, ...; each cell is the str of a Python scalar, a float's repr."""
+        ``x_1``, ...; each cell is the str of a Python scalar, a float's repr.
+        A float column named in ``repeated``, whose values repeat by
+        construction, has each distinct value formatted once."""
         header, cells = [], []
         for key, values in columns.items():
             values = np.asarray(values)
@@ -284,7 +296,8 @@ class _Sink:
                 cells += values.T.tolist()
             else:
                 header.append(key)
-                cells.append(values.tolist())
+                cells.append(_reprs(values) if key in repeated and values.dtype == float
+                             else values.tolist())
         preamble = dict(self.provenance, config=_canonical(self.provenance["config"]))
         lines = [f"# {key}: {value}" for key, value in preamble.items()] + [",".join(header)]
         lines.extend(",".join(map(str, row)) for row in zip(*cells))
@@ -375,21 +388,23 @@ def _cmd_landscape(sink, model, spec, init, stop, resolved):
     sl = resolved["slice"]
     tnorm = model.norm_theta
     axis = model.theta_star / tnorm if tnorm > 0.0 else np.eye(model.dim)[0]
-    # every cell's a and b in one array each, checked once: G squares both, and
-    # a finite a.a + b.b keeps the means a -/+ b finite too
+    # every cell's a, b and means in one array each, checked once: G squares a
+    # and b, and each mean's norm must be finite, as MeanPair requires
     with np.errstate(over="ignore", invalid="ignore"):
         a_offsets, b_offsets = (grid.ravel() for grid in np.meshgrid(
             np.linspace(sl["a_lo"], sl["a_hi"], sl["a_steps"]),
             np.linspace(sl["b_lo"], sl["b_hi"], sl["b_steps"]), indexing="ij"))
         a, b = a_offsets[:, None] * axis, b_offsets[:, None] * axis
-        squares = (a * a).sum(axis=1) + (b * b).sum(axis=1)
-    if not np.isfinite(squares).all():
-        raise ConfigError("slice", "every cell's a.a + b.b must be finite")
-    mu1, mu2 = a - b, a + b
+        mu1, mu2 = a - b, a + b
+        squares = ((a * a).sum(axis=1) + (b * b).sum(axis=1),
+                   (mu1 * mu1).sum(axis=1), (mu2 * mu2).sum(axis=1))
+    if not all(np.isfinite(square).all() for square in squares):
+        raise ConfigError("slice", "every cell's a.a + b.b, mu1.mu1 and mu2.mu2 must be finite")
     mu1.flags.writeable = mu2.flags.writeable = False
     values = [expected_loglik(MeanPair._checked(row1, row2), model, spec)
               for row1, row2 in zip(mu1, mu2)]
-    sink.csv("landscape.csv", {"a_offset": a_offsets, "b_offset": b_offsets, "G": values})
+    sink.csv("landscape.csv", {"a_offset": a_offsets, "b_offset": b_offsets, "G": values},
+             repeated=("a_offset", "b_offset"))
     return 0
 
 
@@ -400,7 +415,8 @@ def _cmd_kernels(sink, model, spec, init, stop, resolved):
     }
     rows = tabulate(axes["x_a"], axes["x_b"], axes["x_theta"], spec)
     names = ("x_a", "x_b", "x_theta", "P", "Gamma", "S", "F", "K")
-    sink.csv("kernels.csv", dict(zip(names, zip(*rows))))
+    sink.csv("kernels.csv", dict(zip(names, zip(*rows))),
+             repeated=("x_a", "x_b", "x_theta", "F", "K"))
     return 0
 
 

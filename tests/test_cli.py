@@ -2,6 +2,7 @@
 artifact reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 import emlab
 from emlab import ConfigError
-from emlab.cli import _KEYS, config_hash, main, resolve_config
+from emlab.cli import _KEYS, _Sink, config_hash, main, resolve_config
 from emlab.sampling import _BLAS_PINNED
 
 
@@ -606,6 +607,55 @@ class TestMainRunners:
         assert "PASS" in table
 
 
+class TestRepeatedColumns:
+    """A column declared repeated has each distinct value formatted once, and
+    its bytes are those of formatting every cell."""
+
+    CELLS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+             1.5, 0.1, 1.5, 2, 0.1, 0.0, -0.0, 2.0, math.nan]
+
+    @pytest.mark.parametrize("column, texts", [
+        (CELLS, [repr(float(v)) for v in CELLS]),  # a float column: the int 2 is 2.0
+        (np.array(CELLS, dtype=object), [repr(v) for v in CELLS]),  # the int stays 2
+    ], ids=["float", "object"])
+    def test_a_declared_column_writes_the_same_bytes(self, tmp_path, column, texts):
+        tables = []
+        for name, repeated in (("plain", ()), ("declared", ("x", "i"))):
+            sink = _Sink(tmp_path / name, {"command": "kernels"})
+            sink.csv("t.csv", {"x": column, "i": np.arange(len(column))}, repeated=repeated)
+            tables.append(sink.written[0].read_bytes())
+        assert tables[0] == tables[1]
+        lines = tables[0].decode().splitlines()[3:]
+        assert lines[0] == "x,i"
+        assert [line.split(",")[0] for line in lines[1:]] == texts
+
+    def test_grid_tables_are_the_repr_of_every_cell(self, tmp_path):
+        """With x_b from 0, F and K are 0.0 on an edge of the kernel grid, and
+        the slice passes through a = b = 0; every cell is its value's repr."""
+        axes = {key: {"lo": lo, "hi": 1.0, "count": 3}
+                for key, lo in (("x_a", -1.0), ("x_b", 0.0), ("x_theta", -1.0))}
+        sl = {"a_lo": -1.0, "a_hi": 1.0, "a_steps": 3, "b_lo": -0.5, "b_hi": 0.5, "b_steps": 5}
+        for command, config in (("kernels", {"grid": axes}), ("landscape", {"slice": sl})):
+            assert main([command, "--config", _write_config(tmp_path, config, f"{command}.json"),
+                         "--out", str(tmp_path / command)]) == 0
+
+        rows = emlab.tabulate(*(np.linspace(ax["lo"], ax["hi"], ax["count"])
+                                for ax in axes.values()))
+        assert sum(f == 0.0 and k == 0.0 for *_, f, k in rows) == 9
+        written = (tmp_path / "kernels" / "kernels.csv").read_text().splitlines()[4:]
+        assert written == [",".join(map(repr, row)) for row in rows]
+
+        model, axis = emlab.MixtureModel(2, [1.0, 0.0]), np.array([1.0, 0.0])
+        expected = []
+        for a_offset in np.linspace(-1.0, 1.0, 3).tolist():
+            for b_offset in np.linspace(-0.5, 0.5, 5).tolist():
+                a, b = a_offset * axis, b_offset * axis
+                value = emlab.expected_loglik(emlab.MeanPair(a - b, a + b), model)
+                expected.append(f"{a_offset!r},{b_offset!r},{value!r}")
+        assert sum(row.startswith("0.0,0.0,") for row in expected) == 1
+        assert (tmp_path / "landscape" / "landscape.csv").read_text().splitlines()[4:] == expected
+
+
 class TestMainErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["kernels", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -696,12 +746,14 @@ class TestMainErrors:
     @pytest.mark.parametrize("sl", [
         {"a_lo": -1e308, "a_hi": 1e308, "b_lo": -1e308, "b_hi": 1e308},
         *({"a_lo": a, "a_hi": a, "a_steps": 1, "b_lo": b, "b_hi": b, "b_steps": 1}
-          for a, b in ((1e200, 1.0), (0.0, 1e200), (1.2e154, 1.2e154))),
+          for a, b in ((1e200, 1.0), (0.0, 1e200), (1.2e154, 1.2e154), (9e153, 9e153))),
     ])
     def test_overflowing_slice_exits_2(self, tmp_path, capsys, sl):
         """G squares a and b: a slice with a cell whose a.a + b.b overflows,
         even with each square finite, is one config error naming the slice,
-        not a traceback, a table of -inf or a NaN NonConvergence."""
+        not a traceback, a table of -inf or a NaN NonConvergence.  So is one
+        whose mean's squared norm overflows with a.a + b.b finite, as at
+        a = b = 9e153 (mu2 = 1.8e154), which MeanPair would refuse."""
         cfg = _write_config(tmp_path, {"slice": sl})
         out = tmp_path / "o"
         assert main(["landscape", "--config", cfg, "--out", str(out)]) == 2
