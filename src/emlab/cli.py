@@ -37,7 +37,7 @@ from .errors import (
 )
 from .geometry import ABState, MeanPair, MixtureModel, _as_vector, whiten
 from .harness import _discrepancies, consistency_ladder, coupled_run
-from .kernels import tabulate
+from .kernels import TABLE_REPEATED, tabulate
 from .landscape import expected_loglik
 from .population import StopRule, _visited, run
 # not called here; kept importable because the benchmark tracer (perfbench/spans.py) wraps it
@@ -284,13 +284,13 @@ class _Sink:
         self.written = []
 
     def csv(self, name, columns, repeated=()):
-        """A table from named columns, a 2-D column ``x`` spread over ``x_0``,
-        ``x_1``, ...; each cell is the str of a Python scalar, a float's repr.
-        A float column named in ``repeated``, whose values repeat by
-        construction, has each distinct value formatted once."""
+        """A table from named columns, a mapping or a structured array's fields
+        in order, a 2-D column ``x`` spread over ``x_0``, ``x_1``, ...; each cell
+        is the str of a Python scalar, a float's repr.  A float column named in
+        ``repeated`` repeats by construction: each distinct value is formatted once."""
         header, cells = [], []
-        for key, values in columns.items():
-            values = np.asarray(values)
+        for key in columns.dtype.names if isinstance(columns, np.ndarray) else columns:
+            values = np.asarray(columns[key])
             if values.ndim == 2:
                 header += [f"{key}_{i}" for i in range(values.shape[1])]
                 cells += values.T.tolist()
@@ -328,8 +328,7 @@ def _cmd_run_population(sink, model, spec, init, stop, resolved):
         sink.json("summary.json", {"converged": traj.converged, "steps": len(theta) - 1,
                                    "final": theta[-1], "final_dist": dist[-1]})
     else:
-        records = traj.records
-        sink.csv("trajectory.csv", {name: records[name] for name in records.dtype.names})
+        sink.csv("trajectory.csv", traj.records)
         sink.json("summary.json", _trajectory_summary(traj))
     return 0
 
@@ -350,11 +349,8 @@ def _trajectory_summary(traj):
 def _cmd_run_sample(sink, model, spec, init, stop, resolved):
     data = sample_mixture(model, resolved["n"], resolved["seed"])
     traj = run_sample(init, data, stop, resolved["form"])
-    records = traj.records
-    sink.csv("trajectory.csv", {name: records[name] for name in records.dtype.names})
-    summary = _trajectory_summary(traj)
-    summary["n"] = resolved["n"]
-    summary["form"] = resolved["form"]
+    sink.csv("trajectory.csv", traj.records)
+    summary = dict(_trajectory_summary(traj), n=resolved["n"], form=resolved["form"])
     sink.json("summary.json", summary)
     if resolved["write_data"]:
         sink.csv("data.csv", {"y": data.data})
@@ -409,14 +405,9 @@ def _cmd_landscape(sink, model, spec, init, stop, resolved):
 
 
 def _cmd_kernels(sink, model, spec, init, stop, resolved):
-    axes = {
-        key: np.linspace(ax["lo"], ax["hi"], ax["count"])
-        for key, ax in resolved["grid"].items()
-    }
-    rows = tabulate(axes["x_a"], axes["x_b"], axes["x_theta"], spec)
-    names = ("x_a", "x_b", "x_theta", "P", "Gamma", "S", "F", "K")
-    sink.csv("kernels.csv", dict(zip(names, zip(*rows))),
-             repeated=("x_a", "x_b", "x_theta", "F", "K"))
+    # _SCHEMA's grid section resolves its three axes in the order tabulate takes them
+    axes = [np.linspace(ax["lo"], ax["hi"], ax["count"]) for ax in resolved["grid"].values()]
+    sink.csv("kernels.csv", tabulate(*axes, spec), repeated=TABLE_REPEATED)
     return 0
 
 
@@ -492,13 +483,16 @@ def main(argv=None) -> int:
         else:
             try:
                 raw = json.loads(Path(args.config).read_text())
-            except FileNotFoundError:
-                raise ConfigError("<config>", f"no such file: {args.config}") from None
-            except json.JSONDecodeError as exc:
+            except OSError as exc:  # missing, a directory or unreadable
+                raise ConfigError("<config>", f"{args.config}: {exc.strerror}") from None
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
                 raise ConfigError("<config>", f"invalid JSON: {exc}") from None
         seed = getattr(args, "seed", None)  # only a command that reads a seed has the flag
         resolved, model, spec, init, stop = resolve_config(raw, args.command, seed)
-        sink = _Sink(args.out, resolved)
+        try:
+            sink = _Sink(args.out, resolved)
+        except OSError as exc:  # a file, or a path through one
+            raise ConfigError("--out", f"{args.out}: {exc.strerror}") from None
         status = _COMMANDS[args.command](sink, model, spec, init, stop, resolved)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

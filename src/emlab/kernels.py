@@ -197,26 +197,31 @@ def eval_aux_bounds(x: float) -> AuxBounds:
     return AuxBounds(l=l, W=w, J=j, mills_gap=mills_gap)
 
 
-def tabulate(
-    values_a, values_b, values_theta, spec: QuadratureSpec = DEFAULT_SPEC
-) -> list[tuple[float, float, float, float, float, float, float, float]]:
+# a tabulate row; the grid coordinates, and F and K (each broadcast over one
+# axis), repeat by construction
+TABLE_DTYPE = np.dtype([(name, float) for name in "x_a x_b x_theta P Gamma S F K".split()])
+TABLE_REPEATED = ("x_a", "x_b", "x_theta", "F", "K")
+
+
+def tabulate(values_a, values_b, values_theta, spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
     """Evaluate (P, Gamma, S, F, K) on the Cartesian grid of the three axes.
 
-    Returns rows (x_a, x_b, x_theta, P, Gamma, S, F, K) of Python floats in
-    row-major order, matching the CSV layout of the command-line tabulator;
-    an empty axis gives no rows.  F and K are evaluated once per
-    (x_b, x_theta) and (x_a, x_b) grid pair, each kernel in one call over
-    its flattened grid; each value equals its one-point call bit for bit.
+    Returns a read-only structured array like ``Trajectory.records``, one
+    row of ``TABLE_DTYPE`` per grid point in row-major order (the layout of
+    ``kernels.csv``); an empty axis gives no rows.  F and K are evaluated
+    once per (x_b, x_theta) and (x_a, x_b) grid pair, each kernel in one call
+    over its flattened grid; each value equals its one-point call bit for bit.
     """
-    x_a, x_b, x_t = np.meshgrid(
-        *(np.asarray(axis, dtype=float) for axis in (values_a, values_b, values_theta)),
-        indexing="ij",
-    )
-    if not x_a.size:
-        return []
-    shape = x_a.shape
-    f = kernel_f(x_b[0].ravel(), x_t[0].ravel(), spec).reshape(shape[1:])
-    k = kernel_k(x_a[..., 0].ravel(), x_b[..., 0].ravel(), spec)
-    pgs = kernel_pgs(x_a.ravel(), x_b.ravel(), x_t.ravel(), spec)
-    f, k = np.broadcast_to(f, shape), np.broadcast_to(k.reshape(shape[:2] + (1,)), shape)
-    return list(zip(*(np.ravel(c).tolist() for c in (x_a, x_b, x_t, *pgs, f, k))))
+    axes = (np.asarray(axis, dtype=float) for axis in (values_a, values_b, values_theta))
+    x_a, x_b, x_t = np.meshgrid(*axes, indexing="ij")
+    table = np.empty(x_a.size, dtype=TABLE_DTYPE)
+    if table.size:
+        shape = x_a.shape
+        f = kernel_f(x_b[0].ravel(), x_t[0].ravel(), spec).reshape(shape[1:])
+        k = kernel_k(x_a[..., 0].ravel(), x_b[..., 0].ravel(), spec).reshape(shape[:2] + (1,))
+        pgs = (c.reshape(shape) for c in kernel_pgs(x_a.ravel(), x_b.ravel(), x_t.ravel(), spec))
+        grid = table.reshape(shape)  # a view of the rows; F and K broadcast into it
+        for name, column in zip(TABLE_DTYPE.names, (x_a, x_b, x_t, *pgs, f, k)):
+            grid[name] = column
+    table.flags.writeable = False
+    return table

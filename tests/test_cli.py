@@ -4,6 +4,7 @@ artifact reproducibility."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 
 import emlab
 from emlab import ConfigError
-from emlab.cli import _KEYS, _Sink, config_hash, main, resolve_config
+from emlab.cli import _KEYS, _SCHEMA, _section, _Sink, config_hash, main, resolve_config
 from emlab.sampling import _BLAS_PINNED
 
 
@@ -252,9 +253,32 @@ def _data(out):
     return data
 
 
+def _schema_leaves(section="", prefix=""):
+    """The dotted path of every field ``_SCHEMA`` resolves that is not a section."""
+    for key, (kind, _, bound) in _SCHEMA[section].items():
+        if kind is _section:
+            yield from _schema_leaves(bound, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
 class TestSchema:
     """Each command takes exactly the seed, model and quadrature it reads,
     and each one it takes changes what it writes."""
+
+    def test_readme_config_table_lists_every_schema_field(self):
+        """The paths in the first column of README's field table; a field whose
+        kind is a brace list, such as ``{lo, hi, count}``, stands for its fields."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| Field | Kind | Default | Bound |\n| --- | --- | --- | --- |\n")[1]
+        listed = set()
+        for line in table.split("\n\n")[0].splitlines():
+            paths, kind = line.split("|")[1:3]
+            braces = re.fullmatch(r" `\{(.*)\}` ", kind)
+            for path in re.findall(r"`([^`]+)`", paths):
+                listed |= ({f"{path}.{field}" for field in braces[1].split(", ")} if braces
+                           else {path})
+        assert listed == set(_schema_leaves())
 
     @pytest.mark.parametrize("command", list(_HASHES))
     def test_config_hashes_unchanged(self, command):
@@ -352,6 +376,12 @@ class TestMainKernels:
         assert config["quadrature"] == {"abs_tol": 1e-10, "nodes_per_lobe": 512}
         assert lines[3] == "x_a,x_b,x_theta,P,Gamma,S,F,K"
         assert len(lines) == 3 + 1 + 4  # preamble, header, 2*1*2 grid rows
+
+    def test_the_header_is_the_table_fields(self, tmp_path):
+        cfg = _write_config(tmp_path, self.config)
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        header = (tmp_path / "out" / "kernels.csv").read_text().splitlines()[3]
+        assert tuple(header.split(",")) == emlab.tabulate([0.0], [0.5], [0.0]).dtype.names
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = _write_config(tmp_path, self.config)
@@ -640,7 +670,7 @@ class TestRepeatedColumns:
                          "--out", str(tmp_path / command)]) == 0
 
         rows = emlab.tabulate(*(np.linspace(ax["lo"], ax["hi"], ax["count"])
-                                for ax in axes.values()))
+                                for ax in axes.values())).tolist()
         assert sum(f == 0.0 and k == 0.0 for *_, f, k in rows) == 9
         written = (tmp_path / "kernels" / "kernels.csv").read_text().splitlines()[4:]
         assert written == [",".join(map(repr, row)) for row in rows]
@@ -661,6 +691,31 @@ class TestMainErrors:
         rc = main(["kernels", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", ["directory", "not_utf8.json"])
+    def test_an_unreadable_config_exits_2(self, tmp_path, capsys, config):
+        """A directory, or bytes that are not UTF-8 text, is one config error
+        line, like a missing file, and no artifact."""
+        (tmp_path / "directory").mkdir()
+        (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe")
+        out = tmp_path / "o"
+        assert main(["kernels", "--config", str(tmp_path / config), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: <config>: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["file", "file/x"])
+    def test_an_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, out):
+        """--out naming a file, or a path through one, is one config error
+        line and writes nothing."""
+        (tmp_path / "file").write_text("kept\n")
+        assert main(["kernels", "--out", str(tmp_path / out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: --out: {tmp_path / out}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert [path.name for path in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_invalid_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

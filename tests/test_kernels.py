@@ -29,7 +29,7 @@ from emlab import (
     kernel_r,
     kernel_s,
 )
-from emlab.kernels import SQRT_2_OVER_PI, tabulate
+from emlab.kernels import SQRT_2_OVER_PI, TABLE_DTYPE, TABLE_REPEATED, tabulate
 from emlab.quadrature import (
     DEFAULT_SPEC,
     _gh_rule,
@@ -555,9 +555,25 @@ class TestTabulate:
             (1.0, 0.5, 2.0),
         ]
 
+    def test_a_read_only_structured_table(self):
+        """One row of TABLE_DTYPE per grid point, like Trajectory.records;
+        each declared repeated field depends on fewer than all three axes."""
+        table = tabulate([0.0, 1.0, 2.0], [0.5, 1.0], [-1.0, 0.0, 1.5, 3.0])
+        assert type(table) is np.ndarray and table.dtype == TABLE_DTYPE
+        assert len(table) == 3 * 2 * 4
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table["P"][0] = 0.0
+        grid = table.reshape(3, 2, 4)
+        for name in TABLE_REPEATED:
+            assert len(np.unique(grid[name])) < grid.size, name
+        np.testing.assert_array_equal(grid["F"], np.broadcast_to(grid["F"][:1], grid.shape))
+        np.testing.assert_array_equal(grid["K"], np.broadcast_to(grid["K"][..., :1], grid.shape))
+
     @pytest.mark.parametrize("axes", [([], [1.0], [1.0]), ([1.0], [], [1.0]), ([1.0], [1.0], [])])
     def test_an_empty_axis_gives_no_rows(self, axes):
-        assert tabulate(*axes) == []
+        table = tabulate(*axes)
+        assert len(table) == 0 and table.dtype == TABLE_DTYPE
 
     def test_row_contents(self):
         (row,) = tabulate([0.7], [1.3], [0.9])

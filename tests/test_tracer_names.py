@@ -1,15 +1,18 @@
 """The benchmark tracer (perfbench/spans.py) wraps emlab functions by module
 and name, so every name it wraps must stay importable from that module, and
 ``restore`` must put each original back.  Its step tallies read the
-``Trajectory`` a run returns, so they must count what the CLI summary counts."""
+``Trajectory`` a run returns, so they must count what the CLI summary counts,
+and its table tally takes ``len`` of the table ``tabulate`` returns, which
+must be the grid's cell count."""
 
 import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from emlab import ABState, MixtureModel, StopRule, run, run_sample, sample_mixture
+from emlab import ABState, MixtureModel, StopRule, run, run_sample, sample_mixture, tabulate
 from emlab.cli import _trajectory_summary
 
 _PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
@@ -56,3 +59,11 @@ def test_step_tallies_match_the_summary_step_count(stop):
     assert tracer.counts["population.steps"] == steps
     assert tracer.counts["sampling.steps"] == sample_steps
     assert tracer.counts["sampling.point_steps"] == data.n * sample_steps
+
+
+@pytest.mark.parametrize("axes", [([0.0, 1.0, 2.0], [0.5, 1.0], [-1.0, 0.0, 1.5, 3.0]),
+                                  ([0.0, 1.0], [], [1.0])])
+def test_table_tally_counts_every_grid_cell(axes):
+    tracer = spans.Tracer()
+    tracer._table_cells(tabulate(*axes), axes, 0.0)
+    assert tracer.counts["kernels.tabulate_cells"] == np.prod([len(axis) for axis in axes])
