@@ -278,9 +278,12 @@ class _Sink:
     def __init__(self, out_dir, resolved):
         self.dir = Path(out_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
-        # in the order a CSV's preamble lists them, the config there as _canonical
+        text = _canonical(resolved)  # hashed, and a CSV preamble's config line
         self.provenance = {"artifact_version": __version__,
-                           "config_hash": config_hash(resolved), "config": resolved}
+                           "config_hash": hashlib.sha256(text.encode()).hexdigest(),
+                           "config": resolved}
+        self.preamble = [f"# {key}: {value}"
+                         for key, value in dict(self.provenance, config=text).items()]
         self.written = []
 
     def csv(self, name, columns, repeated=()):
@@ -298,8 +301,7 @@ class _Sink:
                 header.append(key)
                 cells.append(_reprs(values) if key in repeated and values.dtype == float
                              else values.tolist())
-        preamble = dict(self.provenance, config=_canonical(self.provenance["config"]))
-        lines = [f"# {key}: {value}" for key, value in preamble.items()] + [",".join(header)]
+        lines = self.preamble + [",".join(header)]
         lines.extend(",".join(map(str, row)) for row in zip(*cells))
         self._write(name, "\n".join(lines))
 
@@ -312,7 +314,10 @@ class _Sink:
 
     def _write(self, name, text):
         path = self.dir / name
-        path.write_text(text + "\n")
+        try:
+            path.write_text(text + "\n")
+        except OSError as exc:  # a directory in its place, or no write access
+            raise ConfigError("--out", f"{path}: {exc.strerror}") from None
         self.written.append(path)
 
 

@@ -40,6 +40,14 @@ points share its call.  An integrator's f is called once, on the block
 c[..., None] + y, so it must act elementwise and broadcast any per-point
 parameter as p[..., None].  The self-check runs per point; NonConvergence
 names the worst.
+
+0-d points take a short path: the lobe centers are one float each, and
+_lobe_sums returns each rule's row sums as Python floats (one np.vecdot and
+tolist per rule, nothing staged).  The caller combines the lobes in float
+arithmetic and checks each value with one NaN-safe abs(fine - coarse) <=
+abs_tol; _self_checked does that for one float, and the one-point kernel_pgs
+and landscape cell, which check their own, call it only to build the failure
+message.  So a one-point call costs its node block and little else.
 """
 
 from __future__ import annotations
@@ -141,7 +149,10 @@ def _gh_pair(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _points(*values) -> tuple | list:
     """The arguments as floats when all are 0-d, else as float arrays of one
     broadcast shape."""
-    if all(isinstance(v, float) for v in values):
+    for v in values:
+        if not isinstance(v, float):
+            break
+    else:
         return values
     points = [np.asarray(v, dtype=float) for v in values]
     if not any(p.ndim for p in points):
@@ -151,17 +162,20 @@ def _points(*values) -> tuple | list:
 
 
 def _lobe_sums(integrand: Callable, centers: np.ndarray, spec: QuadratureSpec, *args):
-    """The N- and 2N-node sums (stacked along a new axis 0) of the values
-    ``integrand(centers, nodes, *args)`` lays out on the nodes of both rules,
-    one BLAS dot per row and rule; ``centers`` holds a row of points per lobe,
-    and the sums of 0-d points (``centers`` 1-D) are nested Python floats."""
+    """The N- and 2N-node sums of the values ``integrand(centers, nodes, *args)``
+    lays out on the nodes of both rules, one BLAS dot per row and rule.
+    ``centers`` holds a row of points per lobe, and the sums stack along a
+    new axis 0; for 0-d points ``centers`` is 1-D, one float per lobe, and
+    the sums are one nested list of Python floats per rule."""
     nodes, w_n, w_2n = _gh_pair(spec.nodes_per_lobe)
     values = integrand(centers, nodes, *args)
     k = w_n.size
+    if centers.ndim == 1:
+        return np.vecdot(values[..., :k], w_n).tolist(), np.vecdot(values[..., k:], w_2n).tolist()
     sums = np.empty((2,) + values.shape[:-1])
     np.vecdot(values[..., :k], w_n, out=sums[0, ...])
     np.vecdot(values[..., k:], w_2n, out=sums[1, ...])
-    return sums.tolist() if centers.ndim == 1 else sums
+    return sums
 
 
 def _on_nodes(centers: np.ndarray, nodes: np.ndarray, f: Callable) -> np.ndarray:
@@ -172,17 +186,15 @@ def _on_nodes(centers: np.ndarray, nodes: np.ndarray, f: Callable) -> np.ndarray
 def _self_checked(coarse, fine, what: str, points: dict, spec: QuadratureSpec):
     """``fine``, the 2N-node values, after checking them against ``coarse``,
     the N-node ones.  Both hold any number of values per point, stacked in
-    front of the shape of the point arrays in ``points`` (name -> value),
-    or are Python floats (a float, or a list of one per value) for float
-    points.  On failure the message names the point with the largest gap,
-    or the first point whose gap is NaN: a NaN gap has not settled."""
-    pairs = list(zip(fine, coarse)) if type(fine) is list else [(fine, coarse)]
-    # float points: one <= per value, so a NaN gap fails (max() would skip it)
-    if type(pairs[0][0]) is float and all(abs(f - c) <= spec.abs_tol for f, c in pairs):
+    front of the shape of the point arrays in ``points`` (name -> value), or
+    are floats (a float, or a tuple of one per value) for 0-d points.  On
+    failure the message names the point with the largest gap, or the first
+    point whose gap is NaN: a NaN gap has not settled.  A float is checked
+    with one <= before any array is made."""
+    if type(fine) is float and abs(fine - coarse) <= spec.abs_tol:
         return fine
-    coarse, fine = np.asarray(coarse), np.asarray(fine)
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN gap, which fails below
-        gap = np.abs(fine - coarse)
+        gap = np.abs(np.subtract(fine, coarse))
     if not (gap <= spec.abs_tol).all():
         points = {name: np.asarray(value) for name, value in points.items()}
         shape = next(iter(points.values())).shape

@@ -717,6 +717,23 @@ class TestMainErrors:
         assert [path.name for path in tmp_path.iterdir()] == ["file"]
         assert (tmp_path / "file").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command, blocked, kept", [
+        ("run-population", "summary.json", ["trajectory.csv"]),
+        ("kernels", "kernels.csv", []),
+    ])
+    def test_an_artifact_path_that_cannot_be_written_exits_2(
+            self, tmp_path, capsys, command, blocked, kept):
+        """A directory where an artifact goes is one config error line naming
+        its path; the artifacts written before it stay on disk."""
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        assert main([command, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: --out: {out / blocked}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert sorted(path.name for path in out.iterdir()) == sorted(kept + [blocked])
+        assert (out / blocked).is_dir() and not any((out / blocked).iterdir())
+
     def test_invalid_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
