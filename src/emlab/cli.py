@@ -427,7 +427,7 @@ def _cmd_consistency(sink, model, spec, init, stop, resolved):
         spec=spec,
     )
     payload = asdict(result)
-    if math.isnan(result.slope):  # a ladder of fewer than 4 rungs has no rate fit
+    if math.isnan(result.slope):  # rate_fit found no rate: too few rungs or a zero error
         payload["slope"] = None
     sink.json("consistency.json", payload)
     return 0

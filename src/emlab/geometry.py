@@ -200,7 +200,7 @@ def whiten(data, sigma) -> np.ndarray:
     eigvals, eigvecs = np.linalg.eigh(mat)
     if eigvals.min() <= 0.0:
         raise NotPositiveDefinite(
-            f"sigma has a non-positive eigenvalue: {eigvals.min()!r}"
+            f"sigma has a non-positive eigenvalue: {float(eigvals.min())!r}"
         )
     inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
     arr = np.asarray(data, dtype=float)

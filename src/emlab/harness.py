@@ -2,16 +2,18 @@
 
 Contents: same-initialization coupled runs and their n-ladder aggregation
 (sample updates track the population flow, with final b-error shrinking like
-n^{-1/2}); per-step contraction-constant estimation from trajectory records;
-and an empirical-mean concentration spot check.  Every function here is
-deterministic given its seed arguments: per-trial RNG streams are spawned as
-default_rng([seed, trial]) and results are aggregated in trial order.
+n^{-1/2}), whose slope `rate_fit` alone decides; per-step contraction-constant
+estimation from trajectory records; and an empirical-mean concentration spot
+check.  Every function here is deterministic given its seed arguments: trial
+k draws from default_rng([seed, k]), whichever thread it runs on, and results
+are aggregated in trial order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -90,11 +92,11 @@ def consistency_ladder(
 
     The population trajectory is shared across trials (it does not depend on
     the data); trial k of every rung reuses stream [seed, k], which acts as a
-    common-random-numbers coupling along the ladder.  Trials are pipelined:
-    the calling thread draws the next trial's data while one worker thread
-    runs the sample EM of the previous one, so at most two datasets are
-    alive, every dataset is drawn on the calling thread, and results are
-    taken in (rung, trial) order.
+    common-random-numbers coupling along the ladder.  Two worker threads run
+    the trials, each drawing its own data and running its sample EM, with at
+    most two trials in flight: at most two datasets are alive, and results
+    are taken in (rung, trial) order.  The slope is `rate_fit`'s, or nan
+    when it finds no rate (InsufficientData).
     """
     n_ladder = tuple(int(n) for n in n_ladder)
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
@@ -105,24 +107,20 @@ def consistency_ladder(
     pop_traj = run(init, model, stop, spec)
     trial_seeds = tuple(range(trials))
 
-    def trial(data) -> tuple[float, float]:
-        straj = run_sample(init, data, stop)
+    def trial(n: int, k: int) -> tuple[float, float]:
+        straj = run_sample(init, sample_mixture(model, n, [seed, k]), stop)
         return (
             _sup_discrepancy(straj, pop_traj),
             float(np.linalg.norm(straj.final_state.b - straj.target)),
         )
 
-    stats = []
-    with ThreadPoolExecutor(1) as worker:
-        pending = None
+    stats, in_flight = [], deque()
+    with ThreadPoolExecutor(2) as workers:
         for n, k in itertools.product(n_ladder, trial_seeds):
-            data = sample_mixture(model, n, [seed, k])
-            if pending is not None:
-                stats.append(pending.result())
-            pending = worker.submit(trial, data)
-            # only the worker holds the data now, and frees it when done
-            del data
-        stats.append(pending.result())
+            if len(in_flight) == 2:
+                stats.append(in_flight.popleft().result())
+            in_flight.append(workers.submit(trial, n, k))
+        stats.extend(future.result() for future in in_flight)
     per_rung = np.array(stats).reshape(len(n_ladder), trials, 2)
     sups = [float(v) for v in np.median(per_rung[:, :, 0], axis=1)]
     finals = [float(v) for v in np.median(per_rung[:, :, 1], axis=1)]
@@ -134,13 +132,14 @@ def consistency_ladder(
         trials=trials,
         seeds=trial_seeds,
     )
-    if len(n_ladder) >= 4:
-        result = replace(result, slope=rate_fit(result))
-    return result
+    try:
+        return replace(result, slope=rate_fit(result))
+    except InsufficientData:
+        return result
 
 
 def rate_fit(result: ConsistencyResult) -> float:
-    """Least-squares slope of log(final error) against log(sample size)."""
+    """Least-squares slope of log(final error) against log(n); InsufficientData if none."""
     if len(result.n_ladder) < 4:
         raise InsufficientData(
             f"rate fit needs >= 4 ladder points, got {len(result.n_ladder)}"

@@ -56,11 +56,12 @@ eval_aux_bounds: for x > 0,
 
     l(x)         = x (1 - 2 Phi(-x)) + 2 phi(x)        (= E|Z + x|)
     W(x)         = phi(x) - x (1 - Phi(x))             (= E (Z - x)_+)
-    J(x)         = 0.5 (x - l(x) (1 - 2 Phi(-x)))
+    J(x)         = 0.5 (x - l(x) (1 - 2 Phi(-x)))      (= 2x u (1 - u) - phi(x) (1 - 2u))
     mills_gap(x) = (x + sqrt(2/pi)) (1 - Phi(x)) - phi(x)
 
-J and mills_gap are strictly positive on x > 0; mills_gap is the slack in
-the Mills-ratio bound phi(x)/(1 - Phi(x)) < x + sqrt(2/pi).
+where u = Phi(-x) (J is evaluated in that form, which does not cancel).  J and
+mills_gap are strictly positive on x > 0; mills_gap is the slack in the
+Mills-ratio bound phi(x)/(1 - Phi(x)) < x + sqrt(2/pi).
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ def eval_aux_bounds(x: float) -> AuxBounds:
     central = 1.0 - 2.0 * upper_tail  # 1 - 2 Phi(-x)
     l = x * central + 2.0 * phi
     w = phi - x * upper_tail
-    j = 0.5 * (x - l * central)
+    j = 2.0 * x * upper_tail * (1.0 - upper_tail) - phi * central
     mills_gap = (x + SQRT_2_OVER_PI) * upper_tail - phi
     return AuxBounds(l=l, W=w, J=j, mills_gap=mills_gap)
 

@@ -622,6 +622,24 @@ class TestMainRunners:
         doc = json.loads((out / "consistency.json").read_text(), parse_constant=_reject_constant)
         assert doc["slope"] is None
 
+    @pytest.mark.parametrize("model, init", [
+        ({"theta_star": [0.0, 0.0]}, {}),
+        ({"theta_star": [1.0, 0.0]}, {"b": [0.0, 0.0]}),
+    ])
+    def test_zero_final_errors_write_a_null_slope(self, tmp_path, model, init):
+        """A start at b = 0 (the default b0 = theta*/2 at theta* = 0) stays
+        there, so every median final error is 0 and even a four-rung ladder
+        has no rate fit: exit 0 and a null slope."""
+        cfg = _write_config(tmp_path, {
+            "command": "consistency", "model": model, "init": init,
+            "n_ladder": [10, 20, 30, 40], "trials": 1, "T": 2,
+        })
+        out = tmp_path / "out"
+        assert main(["consistency", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "consistency.json").read_text(), parse_constant=_reject_constant)
+        assert doc["final_error"] == [0.0] * 4
+        assert doc["slope"] is None
+
     def test_verify_single_criterion(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["verify", "--config", _write_config(tmp_path, {

@@ -291,6 +291,12 @@ class TestWhiten:
         with pytest.raises(NotPositiveDefinite):
             whiten(np.zeros((1, 2)), np.diag([1.0, -2.0]))
 
+    def test_singular_message_names_a_python_float(self):
+        with pytest.raises(NotPositiveDefinite) as info:
+            whiten([1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]])
+        assert str(info.value).endswith("non-positive eigenvalue: 0.0")
+        assert "np.float64" not in str(info.value)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             whiten(np.zeros((4, 3)), np.eye(2))

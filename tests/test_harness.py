@@ -271,6 +271,17 @@ class TestConsistencyLadder:
         assert result.seeds == (0, 1, 2)
         assert math.isnan(result.slope)  # needs >= 4 rungs for a rate
 
+    @pytest.mark.parametrize("theta_star", [[0.0, 0.0], [1.0, 0.0]])
+    def test_zero_final_errors_have_no_rate(self, theta_star):
+        """From b = 0 every sample run stays at b = 0, its own fixed point, so
+        each median final error is exactly 0 and rate_fit finds no rate: the
+        slope is nan, as for a ladder of fewer than 4 rungs."""
+        start = ABState([0.0, 0.0], [0.0, 0.0])
+        model = MixtureModel(2, theta_star)
+        result = consistency_ladder(start, model, (10, 20, 30, 40), T=2, trials=1)
+        assert result.final_error == (0.0,) * 4
+        assert math.isnan(result.slope)
+
     @pytest.mark.parametrize("n_ladder, trials, match", [
         ((100_000, 1000), 5, "strictly increasing"),
         ((200, 400), 0, "trials"),
@@ -283,20 +294,28 @@ class TestConsistencyLadder:
             consistency_ladder(INIT, MODEL, n_ladder, T=5, trials=trials)
         assert calls == []
 
-    def test_pipelined_ladder_equals_the_serial_loop(self):
-        """Drawing trial k+1 while trial k runs changes no bit of the result."""
-        ladder, T, trials, seed = (200, 400, 800, 1600), 6, 5, 4
+    @pytest.mark.parametrize("model, init, ladder, trials", [
+        (MODEL, INIT, (200, 400, 800, 1600), 5),
+        # d = 8: the last rung's 70 001 x 8 draw is past the 4 MB switch to a
+        # memory-mapped buffer, drawn and freed on a worker thread
+        (MixtureModel(8, [0.5] * 8), ABState([0.1] + [0.0] * 7, [0.4, 0.2] + [0.0] * 6),
+         (200, 400, 800, 70_001), 3),
+    ], ids=["d2", "d8-mapped"])
+    def test_pipelined_ladder_equals_the_serial_loop(self, model, init, ladder, trials):
+        """Running two trials at once, each drawing its own data on a worker
+        thread, changes no bit of the result."""
+        T, seed = 6, 4
         threads = threading.active_count()
-        result = consistency_ladder(INIT, MODEL, ladder, T=T, trials=trials, seed=seed)
+        result = consistency_ladder(init, model, ladder, T=T, trials=trials, seed=seed)
         assert threading.active_count() == threads
 
         stop = StopRule(max_iters=T, step_tol=0.0)
-        pop_traj = run(INIT, MODEL, stop)
+        pop_traj = run(init, model, stop)
         sups, finals = [], []
         for n in ladder:
             sup_n, fin_n = [], []
             for k in range(trials):
-                straj = run_sample(INIT, sample_mixture(MODEL, n, [seed, k]), stop)
+                straj = run_sample(init, sample_mixture(model, n, [seed, k]), stop)
                 sup_n.append(harness._sup_discrepancy(straj, pop_traj))
                 fin_n.append(float(np.linalg.norm(straj.final_state.b - straj.target)))
             sups.append(float(np.median(sup_n)))

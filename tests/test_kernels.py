@@ -486,6 +486,27 @@ class TestInequalities:
             assert aux.mills_gap > 0.0
             assert aux.W > 0.0
 
+    def test_J_positive_far_into_the_tail(self):
+        """J = 0.5 (x - l (1 - 2 Phi(-x))) cancels to 0.0 from x ~ 8.4 if
+        evaluated as written; the form without the subtraction stays > 0."""
+        for x in np.linspace(0.05, 37.0, 741):
+            assert eval_aux_bounds(x).J > 0.0
+
+    @pytest.mark.parametrize("x", [10.0, 15.0, 20.0, 30.0])
+    def test_J_follows_its_mills_ratio_series(self, x):
+        """J / phi = 1 - 2/x^2 + 6/x^4 - 30/x^6 + ..., from the asymptotic
+        series of the Mills ratio (1 - Phi(x)) / phi(x)."""
+        ratio = eval_aux_bounds(x).J / std_normal_pdf(x)
+        assert abs(ratio - (1.0 - 2.0 / x**2 + 6.0 / x**4)) <= 40.0 / x**6
+
+    def test_J_matches_its_defining_form_on_the_criterion_grid(self):
+        """Where 0.5 (x - l (1 - 2 Phi(-x))) does not cancel, on criterion
+        1's grid, both forms agree to rounding."""
+        for x in np.linspace(0.0, 3.0, 20)[1:]:
+            aux = eval_aux_bounds(x)
+            defining = 0.5 * (x - aux.l * (1.0 - 2.0 * std_normal_cdf(-x)))
+            assert aux.J == pytest.approx(defining, rel=1e-13, abs=0.0)
+
     def test_l_ratio_below_half(self):
         """l(x) (1/2 - Phi(-x)) / x < 1/2, the J > 0 statement rearranged."""
         for x in np.linspace(0.05, 6.0, 40):
